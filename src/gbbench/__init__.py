@@ -5,7 +5,7 @@ degree-reverse-lexicographic order, both as native comparators and as
 equivalent weight-matrix orders, inside a Buchberger engine over Z_p.
 """
 
-from .modfield import DEFAULT_MODULUS, FieldElement, PrimeField
+from .modfield import DEFAULT_MODULUS, PrimeField
 from .ordering import (
     EQUAL,
     GREATER,
@@ -18,13 +18,11 @@ from .ordering import (
     degrevlex_weight_matrix,
     identity_weight_matrix,
     is_admissible,
-    make_order,
     orders_equivalent_certificate,
     orders_equivalent_oracle,
     subtotal_weight_matrix,
-    weight_vector,
 )
-from .poly import PolyContext, Polynomial, Term, CachedTerm, add_poly, div_monomial, mul_term, reduce, s_polynomial
+from .poly import PolyContext, Polynomial, Term, CachedTerm, reduce, s_polynomial
 from .groebner import (
     EngineStats,
     GroebnerResult,

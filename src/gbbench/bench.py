@@ -15,7 +15,7 @@ import io
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from time import perf_counter
 
@@ -24,7 +24,6 @@ from .groebner import (
     EngineStats,
     INDUCED_ORDER,
     WEIGHT_VECTOR,
-    MatrixCachedOrder,
     SelectionStrategy,
     audit_cached_weights,
     buchberger,
@@ -35,7 +34,9 @@ from .groebner import (
 from .modfield import PrimeField
 from .ordering import (
     DegRevLexOrder,
+    MatrixCachedOrder,
     MatrixDirectOrder,
+    MatrixOrder,
     SubtotalOrder,
     cmp_degrevlex,
     cmp_subtotal,
@@ -43,43 +44,31 @@ from .ordering import (
     subtotal_weight_matrix,
 )
 
-ORDER_LABELS = (
-    "degrevlex",
-    "subtotal",
-    "grevlex-matrix",
-    "subtotal-matrix",
-    "grevlex-matrix-direct",
-    "subtotal-matrix-direct",
-)
+# The order roster: label -> (strategy class, family weight matrix n -> W).
+# Matrix strategies are built from the family matrix, native ones from n;
+# weight-vector pair selection uses the family matrix for every label.
+ORDERS = {
+    "degrevlex": (DegRevLexOrder, degrevlex_weight_matrix),
+    "subtotal": (SubtotalOrder, subtotal_weight_matrix),
+    "grevlex-matrix": (MatrixCachedOrder, degrevlex_weight_matrix),
+    "subtotal-matrix": (MatrixCachedOrder, subtotal_weight_matrix),
+    "grevlex-matrix-direct": (MatrixDirectOrder, degrevlex_weight_matrix),
+    "subtotal-matrix-direct": (MatrixDirectOrder, subtotal_weight_matrix),
+}
+ORDER_LABELS = tuple(ORDERS)
 
 DEFAULT_ORDERS = ("degrevlex", "grevlex-matrix", "subtotal-matrix", "subtotal")
 DEFAULT_REFERENCE = "grevlex-matrix"
 
-_FAMILY_MATRIX = {
-    "degrevlex": degrevlex_weight_matrix,
-    "grevlex-matrix": degrevlex_weight_matrix,
-    "grevlex-matrix-direct": degrevlex_weight_matrix,
-    "subtotal": subtotal_weight_matrix,
-    "subtotal-matrix": subtotal_weight_matrix,
-    "subtotal-matrix-direct": subtotal_weight_matrix,
-}
-
 
 def order_factory(label: str):
     """Factory n -> MonomialOrder for a roster label."""
-    if label == "degrevlex":
-        return lambda n: DegRevLexOrder(n, label=label)
-    if label == "subtotal":
-        return lambda n: SubtotalOrder(n, label=label)
-    if label == "grevlex-matrix":
-        return lambda n: MatrixCachedOrder(degrevlex_weight_matrix(n), label=label)
-    if label == "subtotal-matrix":
-        return lambda n: MatrixCachedOrder(subtotal_weight_matrix(n), label=label)
-    if label == "grevlex-matrix-direct":
-        return lambda n: MatrixDirectOrder(degrevlex_weight_matrix(n), label=label)
-    if label == "subtotal-matrix-direct":
-        return lambda n: MatrixDirectOrder(subtotal_weight_matrix(n), label=label)
-    raise ValueError(f"unknown order label {label!r}; known: {', '.join(ORDER_LABELS)}")
+    if label not in ORDERS:
+        raise ValueError(f"unknown order label {label!r}; known: {', '.join(ORDER_LABELS)}")
+    cls, family = ORDERS[label]
+    if issubclass(cls, MatrixOrder):
+        return lambda n: cls(family(n), label=label)
+    return lambda n: cls(n, label=label)
 
 
 def strategy_for(label: str, n: int, kind: str) -> SelectionStrategy:
@@ -87,7 +76,7 @@ def strategy_for(label: str, n: int, kind: str) -> SelectionStrategy:
     if kind == INDUCED_ORDER:
         return SelectionStrategy.induced_order()
     if kind == WEIGHT_VECTOR:
-        return SelectionStrategy.weight_vector(_FAMILY_MATRIX[label](n))
+        return SelectionStrategy.weight_vector(ORDERS[label][1](n))
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
@@ -99,7 +88,6 @@ class BenchmarkConfig:
     modulus: int = 32003
     max_seconds: float = 120.0
     min_measure_seconds: float = 1.0
-    seed: int = 0
     reorder: bool = False
 
     def __post_init__(self):
@@ -119,18 +107,6 @@ class BenchmarkConfig:
 
     def ratio_labels(self) -> tuple:
         return tuple(f"{lab}/{self.reference}" for lab in self.orders if lab != self.reference)
-
-    def as_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "reference": self.reference,
-            "strategy": self.strategy,
-            "modulus": self.modulus,
-            "max_seconds": self.max_seconds,
-            "min_measure_seconds": self.min_measure_seconds,
-            "seed": self.seed,
-            "reorder": self.reorder,
-        }
 
 
 @dataclass
@@ -158,16 +134,6 @@ class RatioSummary:
     stddev: float
     count_below_one: int
     count_above_one: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "median": self.median,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "count_below_one": self.count_below_one,
-            "count_above_one": self.count_above_one,
-        }
 
 
 @dataclass
@@ -354,9 +320,8 @@ def _render_csv(report: BenchmarkReport) -> str:
             line.append("" if cell.seconds is None else repr(cell.seconds))
             line.append(cell.m)
             line.append(int(cell.aborted))
-            d = cell.stats.as_dict()
             for f_ in _STAT_FIELDS:
-                v = d[f_]
+                v = getattr(cell.stats, f_)
                 line.append(repr(v) if isinstance(v, float) else v)
         for key in report.config.ratio_labels():
             v = r.ratios.get(key)
@@ -390,7 +355,7 @@ def parse_report_csv(text: str) -> list:
 
 
 def _render_jsonl(report: BenchmarkReport) -> str:
-    lines = [json.dumps({"type": "config", **report.config.as_dict()}, sort_keys=True)]
+    lines = [json.dumps({"type": "config", **asdict(report.config)}, sort_keys=True)]
     for r in report.rows:
         cells = {}
         for lab, cell in r.cells.items():
@@ -398,7 +363,7 @@ def _render_jsonl(report: BenchmarkReport) -> str:
                 "seconds": cell.seconds,
                 "m": cell.m,
                 "aborted": cell.aborted,
-                "stats": cell.stats.as_dict(),
+                "stats": asdict(cell.stats),
             }
         lines.append(json.dumps({
             "type": "row",
@@ -410,7 +375,7 @@ def _render_jsonl(report: BenchmarkReport) -> str:
         }, sort_keys=True))
     lines.append(json.dumps({
         "type": "summary",
-        "ratios": {k: s.as_dict() for k, s in report.summaries.items()},
+        "ratios": {k: asdict(s) for k, s in report.summaries.items()},
     }, sort_keys=True))
     return "\n".join(lines) + "\n"
 

@@ -16,19 +16,20 @@ from .bench import (
     DEFAULT_ORDERS,
     DEFAULT_REFERENCE,
     ORDER_LABELS,
+    ORDERS,
     comparator_microbench,
     render_report,
     run_benchmark,
     verify_order_robustness,
 )
 from .groebner import INDUCED_ORDER, WEIGHT_VECTOR
+from .modfield import PrimeField
 from .ordering import (
+    DegRevLexOrder,
     WeightMatrix,
-    degrevlex_weight_matrix,
     is_admissible,
     orders_equivalent_certificate,
     orders_equivalent_oracle,
-    subtotal_weight_matrix,
 )
 
 EXIT_OK = 0
@@ -52,6 +53,10 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
+    """The selected systems, after rejecting a nonpositive time limit, a bad
+    modulus or a polynomial that vanishes mod p before any work starts."""
+    if args.time_limit <= 0:
+        parser.error("--time-limit must be positive")
     specs = []
     try:
         for key in args.bundled:
@@ -83,10 +88,13 @@ def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
                                                  clear=args.clear_denominators))
             except corpus.ParseError as e:
                 parser.error(f"{p}: {e}")
+        if not specs:
+            parser.error("no systems selected; use --bundled/--cyclic/--katsura/--system")
+        field = PrimeField(args.modulus)
+        for spec in specs:
+            corpus.realize(spec, DegRevLexOrder(spec.nvars), field)
     except (KeyError, ValueError) as e:
         parser.error(str(e).strip("'\""))
-    if not specs:
-        parser.error("no systems selected; use --bundled/--cyclic/--katsura/--system")
     return specs
 
 
@@ -107,7 +115,6 @@ def cmd_run(args, parser) -> int:
             modulus=args.modulus,
             max_seconds=args.time_limit,
             min_measure_seconds=args.min_measure,
-            seed=args.seed,
             reorder=args.reorder_variables,
         )
     except ValueError as e:
@@ -163,6 +170,10 @@ def cmd_verify(args, parser) -> int:
 def cmd_microbench(args, parser) -> int:
     if args.vars < 1:
         parser.error("--vars must be at least 1")
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if args.max_exponent < 0:
+        parser.error("--max-exponent must be nonnegative")
     res = comparator_microbench(args.vars, samples=args.samples, seed=args.seed,
                                 max_exponent=args.max_exponent)
     print(f"comparator microbench  n={res['n']}  samples={res['samples']}  "
@@ -189,11 +200,14 @@ def cmd_check_matrix(args, parser) -> int:
     admissible = is_admissible(w)
     print(f"{args.matrix}: {w.n}x{w.n}, admissible={'yes' if admissible else 'no'}")
     bad = not admissible
-    # informational: does this matrix induce the built-in order families?
-    for fam_name, fam in (("subtotal", subtotal_weight_matrix(w.n)),
-                          ("degrevlex", degrevlex_weight_matrix(w.n))):
+    # informational: does this matrix induce the roster's order families?
+    # Each family is named by the first roster label that uses it.
+    families: dict = {}
+    for label, (_, family) in ORDERS.items():
+        families.setdefault(family, label)
+    for family, fam_name in families.items():
         try:
-            cert = orders_equivalent_certificate(w, fam)
+            cert = orders_equivalent_certificate(w, family(w.n))
         except ValueError:
             cert = None
         print(f"  same order as {fam_name}(n={w.n}): {'yes' if cert is not None else 'no'}")
@@ -212,7 +226,10 @@ def cmd_check_matrix(args, parser) -> int:
             print(f"equivalent to {args.against}: no certificate")
             bad = True
         if args.oracle_degree is not None:
-            witness = orders_equivalent_oracle(w, w2, args.oracle_degree)
+            try:
+                witness = orders_equivalent_oracle(w, w2, args.oracle_degree)
+            except ValueError as e:
+                parser.error(str(e))
             if witness is None:
                 print(f"oracle (entries <= {args.oracle_degree}): orders agree")
             else:
@@ -240,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--time-limit", type=float, default=120.0, metavar="SEC")
     p_run.add_argument("--min-measure", type=float, default=1.0, metavar="SEC",
                        help="repeat runs until the cumulative time exceeds this")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--reorder-variables", action="store_true",
                        help="apply the occurrence-count variable reordering heuristic")
     p_run.add_argument("--format", choices=("text", "csv", "jsonl"), default="text")

@@ -308,13 +308,20 @@ def permute_variables(spec: SystemSpec, perm) -> SystemSpec:
 
 
 def realize(spec: SystemSpec, order: MonomialOrder, field: PrimeField) -> list:
-    """Build engine polynomials for the system under an order and field."""
+    """Build engine polynomials for the system under an order and field.
+
+    Raises ValueError when a polynomial vanishes mod p.
+    """
     if order.n != spec.nvars:
         raise ValueError(f"order is over {order.n} variables, system has {spec.nvars}")
     if spec.has_rational_coeffs():
         raise ValueError(f"system {spec.name!r} has rational coefficients; clear denominators first")
     ctx = PolyContext(spec.nvars, field, order)
-    return [ctx.polynomial((e, int(c)) for c, e in terms) for terms in spec.polynomials]
+    polys = [ctx.polynomial((e, int(c)) for c, e in terms) for terms in spec.polynomials]
+    for i, f in enumerate(polys, 1):
+        if f.is_zero:
+            raise ValueError(f"system {spec.name!r}: polynomial {i} vanishes mod {field.p}")
+    return polys
 
 
 def cyclic_system(k: int) -> SystemSpec:

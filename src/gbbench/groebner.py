@@ -14,20 +14,10 @@ import bisect
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
-from operator import add as _add, neg as _neg, sub as _sub
 from time import perf_counter
 from typing import NamedTuple
 
-from .ordering import (  # noqa: F401  (re-exported engine surface)
-    MonomialOrder,
-    DegRevLexOrder,
-    SubtotalOrder,
-    MatrixDirectOrder,
-    MatrixCachedOrder,
-    WeightMatrix,
-    ORDER_KINDS,
-    make_order,
-)
+from .ordering import MatrixCachedOrder, WeightMatrix
 from .poly import Polynomial, TimeLimitExceeded, reduce, s_polynomial
 
 INDUCED_ORDER = "induced-order"
@@ -71,16 +61,6 @@ class EngineStats:
     reduction_steps: int = 0
     matvec_products: int = 0
     wall_time: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "comparisons": self.comparisons,
-            "pairs_processed": self.pairs_processed,
-            "pairs_skipped_by_criteria": self.pairs_skipped_by_criteria,
-            "reduction_steps": self.reduction_steps,
-            "matvec_products": self.matvec_products,
-            "wall_time": self.wall_time,
-        }
 
 
 class CriticalPair(NamedTuple):
@@ -307,96 +287,8 @@ def reduce_basis(G) -> list:
 _PROBE_STRIDE = 4096
 
 
-def _verifier_basis(G):
-    """Precompute the verifier's own view of the reducers.
-
-    One entry per basis element: leading exponents, their sort key, the
-    inverse leading coefficient, and the tail as (key, exps) offsets from the
-    leading term plus the raw coefficient. Keys are the order's additive
-    sort_key tuples, so the product bookkeeping below is pure tuple addition.
-    """
-    order = G[0].context.order
-    key_of = order.sort_key
-    inv = G[0].context.field.inv
-    prepped = []
-    for g in G:
-        terms = g.term_list()
-        lm_c, lm_e = terms[0]
-        lm_k = key_of(lm_e)
-        tail = []
-        for c, e in terms[1:]:
-            k = key_of(e)
-            tail.append((tuple(map(_sub, k, lm_k)),
-                         tuple(map(_sub, e, lm_e)), c))
-        prepped.append((lm_e, lm_k, inv(lm_c), tail))
-    return prepped
-
-
-def _sinks_to_zero(seed, prepped, p, deadline) -> bool:
-    """Top-reduce the seed polynomial against the prepped basis; True iff it
-    collapses to zero.
-
-    The working polynomial lives in a heap of (negated key, exps, coeff)
-    entries, largest monomial first. Sort keys are injective for any
-    nonsingular weight matrix, so equal keys mean equal monomials and popped
-    runs can be coalesced by key alone.
-    """
-    heap = [(tuple(map(_neg, k)), e, c % p) for k, e, c in seed]
-    heapify(heap)
-    tick = 0
-    while heap:
-        nk, e, c = heappop(heap)
-        while heap and heap[0][0] == nk:
-            c += heappop(heap)[2]
-        c %= p
-        if not c:
-            continue
-        for lm_e, _lm_k, inv_lc, tail in prepped:
-            if all(x >= y for x, y in zip(e, lm_e)):
-                break
-        else:
-            return False
-        if deadline is not None:
-            tick += 1
-            if tick >= _PROBE_STRIDE:
-                tick = 0
-                if perf_counter() > deadline:
-                    raise TimeLimitExceeded
-        factor = (p - c) * inv_lc % p
-        for dk, de, ct in tail:
-            heappush(heap, (tuple(map(_sub, nk, dk)),
-                            tuple(map(_add, e, de)), factor * ct % p))
-    return True
-
-
-def _verify_tuple_route(G, F, order, p, deadline) -> bool:
-    prepped = _verifier_basis(G)
-    for i in range(len(G)):
-        lm_i, k_i, inv_i, tail_i = prepped[i]
-        for j in range(i + 1, len(G)):
-            if deadline is not None and perf_counter() > deadline:
-                raise TimeLimitExceeded
-            lm_j, k_j, inv_j, tail_j = prepped[j]
-            big = tuple(map(max, lm_i, lm_j))
-            k_big = order.sort_key(big)
-            # S-polynomial seed: both sides scaled monic and shifted up to the
-            # lcm; the two leading terms cancel and are simply left out.
-            seed = [(tuple(map(_add, k_big, dk)), tuple(map(_add, big, de)),
-                     inv_i * ct % p) for dk, de, ct in tail_i]
-            seed += [(tuple(map(_add, k_big, dk)), tuple(map(_add, big, de)),
-                      (p - inv_j) * ct % p) for dk, de, ct in tail_j]
-            if not _sinks_to_zero(seed, prepped, p, deadline):
-                return False
-    key_of = order.sort_key
-    for f in F:
-        seed = [(key_of(e), e, c) for c, e in f.term_list()]
-        if not _sinks_to_zero(seed, prepped, p, deadline):
-            return False
-    return True
-
-
 def _packed_layout(order, G, F):
-    """Bit layout for the integer-packed verifier route, or None.
+    """Bit layout for the integer-packed verifier, or None.
 
     Monomials and their sort keys pack into single big integers, one field
     per component (most significant first), so the inner loop is pure integer
@@ -463,7 +355,7 @@ def _packed_basis(G, pack_key, pack_exps):
 
 
 def _sinks_packed(seed, prepped, p, mtop, deadline) -> bool:
-    """Packed-integer twin of _sinks_to_zero.
+    """Top-reduce the seed against the prepped basis; True iff it vanishes.
 
     Pending terms live in acc (packed key -> [coeff, packed exps]) with a heap
     of negated keys for max-first extraction; coefficients coalesce in the
@@ -547,9 +439,9 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     reduces to zero, so the input ideal is contained in the one G generates.
     Normal forms are recomputed on the verifier's own heap accumulator rather
     than the engine's merge reducer, so the two routes share no arithmetic.
-    Degree-first orders with integer keys (every order this package ships)
-    take an integer-packed fast path; anything else falls back to the tuple
-    accumulator.
+    Monomials and keys are packed into single integers, which needs a
+    degree-first order with integer weights (every order this package
+    ships); any other order raises ValueError.
     """
     G = [g for g in G if not g.is_zero]
     F = list(F) if F is not None else []
@@ -563,9 +455,10 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     p = ctx.field.p
     deadline = perf_counter() + max_seconds if max_seconds is not None else None
     layout = _packed_layout(order, G, F)
-    if layout is not None:
-        return _verify_packed_route(G, F, order, p, deadline, layout)
-    return _verify_tuple_route(G, F, order, p, deadline)
+    if layout is None:
+        raise ValueError(f"verify_groebner needs a degree-first order with integer weights; "
+                         f"{order.label} is not one")
+    return _verify_packed_route(G, F, order, p, deadline, layout)
 
 
 def reorder_variables(F) -> tuple:

@@ -5,17 +5,37 @@ from __future__ import annotations
 DEFAULT_MODULUS = 32003
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly for
+# every n below MILLER_RABIN_LIMIT (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; moduli here are small."""
+    """Deterministic Miller-Rabin; ValueError for n >= MILLER_RABIN_LIMIT,
+    where the fixed bases no longer decide primality."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {MILLER_RABIN_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -31,7 +51,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class PrimeField:
-    """Context object for Z_p. Raw arithmetic works on canonical ints in [0, p)."""
+    """Context object for Z_p: the modulus and inversion. The engine does the
+    rest of its arithmetic inline on canonical ints in [0, p)."""
 
     __slots__ = ("p",)
 
@@ -41,23 +62,6 @@ class PrimeField:
         if p == 2:
             raise ValueError("modulus 2 not supported; use an odd prime")
         self.p = p
-
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse via extended Euclid; a must be nonzero mod p."""
@@ -69,18 +73,6 @@ class PrimeField:
             raise ZeroDivisionError(f"{a} not invertible mod {self.p}")
         return x % self.p
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def element(self, x: int) -> "FieldElement":
-        return FieldElement(self, x % self.p)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -89,99 +81,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
-
-
-class FieldElement:
-    """A value of Z_p bound to its field. Mixing fields raises ValueError."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"mixed moduli: {self.field.p} and {other.field.p}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(o.value, self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, o.value))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(o.value, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, pow(self.value, k, self.field.p))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()

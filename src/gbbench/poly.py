@@ -31,19 +31,6 @@ class CachedTerm(NamedTuple):
     cached_weights: tuple
 
 
-def div_monomial(a, b):
-    """Exponentwise quotient a / b, or None when b does not divide a."""
-    if len(a) != len(b):
-        raise ValueError(f"exponent vectors differ in length: {len(a)} vs {len(b)}")
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
-
-
 class PolyContext:
     """Shared environment for a family of polynomials.
 
@@ -256,17 +243,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.format()} mod {self.context.field.p})"
-
-
-def add_poly(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def mul_term(f: Polynomial, t: Term) -> Polynomial:
-    """Multiply f by the term t = (coeff, exps)."""
-    coeff, exps = t
-    h = f.context.order.attach(tuple(exps))
-    return f._mul_handle(h, coeff)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

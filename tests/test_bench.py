@@ -1,7 +1,10 @@
 import json
 import math
+from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbbench.bench import (
     DEFAULT_ORDERS,
@@ -20,8 +23,9 @@ from gbbench.bench import (
     timed_run,
     verify_order_robustness,
 )
-from gbbench.corpus import cyclic_system, katsura_system
-from gbbench.groebner import INDUCED_ORDER, WEIGHT_VECTOR
+from gbbench.corpus import SystemSpec, cyclic_system, katsura_system, realize
+from gbbench.groebner import INDUCED_ORDER, WEIGHT_VECTOR, buchberger, reduce_basis, verify_groebner
+from gbbench.modfield import PrimeField
 from gbbench.ordering import (
     DegRevLexOrder,
     MatrixCachedOrder,
@@ -101,9 +105,9 @@ def test_config_defaults_and_ratio_labels():
         "subtotal-matrix/grevlex-matrix",
         "subtotal/grevlex-matrix",
     )
-    d = cfg.as_dict()
+    d = asdict(cfg)
     assert d["reference"] == "grevlex-matrix"
-    assert d["orders"] == list(DEFAULT_ORDERS)
+    assert d["orders"] == DEFAULT_ORDERS
 
 
 def test_order_factory_covers_roster():
@@ -169,8 +173,8 @@ def test_timed_run_abort():
 def test_timed_run_counters_deterministic():
     # the engine is deterministic, so only the wall time may differ
     cfg = _fast_config()
-    first = timed_run(cyclic_system(4), "subtotal", cfg).stats.as_dict()
-    second = timed_run(cyclic_system(4), "subtotal", cfg).stats.as_dict()
+    first = asdict(timed_run(cyclic_system(4), "subtotal", cfg).stats)
+    second = asdict(timed_run(cyclic_system(4), "subtotal", cfg).stats)
     first.pop("wall_time")
     second.pop("wall_time")
     assert first == second
@@ -348,3 +352,27 @@ def test_verify_order_robustness_stop_on_abort():
     assert len(res.aborted) == 1
     assert res.bases_match is None
     assert res.verified is None
+
+
+@st.composite
+def small_systems(draw):
+    """1-3 polynomials of up to 4 distinct terms, degree <= 3, in 2-3 variables."""
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    term = st.tuples(st.integers(1, 32002).map(Fraction), exps)
+    poly = st.lists(term, min_size=1, max_size=4, unique_by=lambda t: t[1]).map(tuple)
+    polys = draw(st.lists(poly, min_size=1, max_size=3))
+    return SystemSpec("random", tuple(f"x{i}" for i in range(n)), tuple(polys))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_systems())
+def test_random_systems_same_basis_under_every_order(spec):
+    field = PrimeField(32003)
+    bases = set()
+    for label in ORDER_LABELS:
+        polys = realize(spec, order_factory(label)(spec.nvars), field)
+        red = reduce_basis(buchberger(polys).basis)
+        assert verify_groebner(red, polys), label
+        bases.add(tuple(g.as_tuples() for g in red))
+    assert len(bases) == 1

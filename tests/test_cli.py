@@ -105,6 +105,25 @@ def test_run_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--system", str(tmp_path / "missing.txt")] + FAST)
     assert exc.value.code == 2
+    vanishing = tmp_path / "vanishing.txt"
+    vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
+    for bad in (["--modulus", "4"], ["--modulus", str(2**89)], ["--time-limit", "0"],
+                ["--seed", "1"], ["--system", str(vanishing)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--cyclic", "3"] + FAST + bad)
+        assert exc.value.code == 2, bad
+
+
+def test_verify_usage_errors(tmp_path, capsys):
+    vanishing = tmp_path / "vanishing.txt"
+    vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
+    for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--system", str(vanishing)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cyclic", "3"] + bad)
+        assert exc.value.code == 2, bad
+    out, err = capsys.readouterr()
+    assert "ABORTED" not in out
+    assert "polynomial 1 vanishes mod 32003" in err
 
 
 def test_verify_small_system(capsys):
@@ -135,9 +154,10 @@ def test_microbench(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ratio subtotal/degrevlex:" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["microbench", "--vars", "0"])
-    assert exc.value.code == 2
+    for bad in (["--vars", "0"], ["--samples", "0"], ["--max-exponent", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["microbench"] + bad)
+        assert exc.value.code == 2, bad
 
 
 def test_check_matrix_admissible(tmp_path, capsys):
@@ -203,4 +223,10 @@ def test_check_matrix_input_errors(tmp_path):
     three = _write_matrix(tmp_path, "three.txt", subtotal_weight_matrix(3))
     with pytest.raises(SystemExit) as exc:
         main(["check-matrix", two, "--against", three])
+    assert exc.value.code == 2
+    # (4 + 1)^(2 * 8) pairs is far above the oracle's bound
+    sub8 = _write_matrix(tmp_path, "sub8.txt", subtotal_weight_matrix(8))
+    grev8 = _write_matrix(tmp_path, "grev8.txt", degrevlex_weight_matrix(8))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-matrix", sub8, "--against", grev8, "--oracle-degree", "4"])
     assert exc.value.code == 2

@@ -142,6 +142,9 @@ def test_realize_reduces_coefficients():
     frac = SystemSpec("f", ("x",), (((Fraction(1, 2), (1,)),),), None)
     with pytest.raises(ValueError):
         realize(frac, DegRevLexOrder(1), PrimeField(32003))
+    vanishing = parse_system("name: v\nvars: x y\npoly: x - 1\npoly: 32003*x^2 + 32003*y\n")
+    with pytest.raises(ValueError, match="'v': polynomial 2 vanishes mod 32003"):
+        realize(vanishing, DegRevLexOrder(2), PrimeField(32003))
 
 
 def test_cyclic_system_shape():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from gbbench.corpus import cyclic_system, katsura_system, realize
@@ -19,6 +21,7 @@ from gbbench.ordering import (
     MatrixDirectOrder,
     SubtotalOrder,
     degrevlex_weight_matrix,
+    identity_weight_matrix,
     subtotal_weight_matrix,
 )
 from gbbench.poly import PolyContext, TimeLimitExceeded
@@ -111,7 +114,7 @@ def test_stats_shape():
     spec = cyclic_system(4)
     polys = realize(spec, DegRevLexOrder(4), PrimeField(32003))
     res = buchberger(polys)
-    st = res.stats.as_dict()
+    st = asdict(res.stats)
     assert set(st) == {"comparisons", "pairs_processed", "pairs_skipped_by_criteria",
                        "reduction_steps", "matvec_products", "wall_time"}
     assert st["pairs_processed"] > 0
@@ -212,6 +215,10 @@ def test_verify_groebner_accepts_and_rejects():
     assert verify_groebner([], [])
     with pytest.raises(TimeLimitExceeded):
         verify_groebner(red, polys, max_seconds=-1.0)
+    # lex (the identity matrix) is not degree-first
+    lex = realize(cyclic_system(3), MatrixDirectOrder(identity_weight_matrix(3)), field)
+    with pytest.raises(ValueError, match="degree-first"):
+        verify_groebner(reduce_basis(buchberger(lex).basis), lex)
 
 
 def test_verify_groebner_across_strategies():

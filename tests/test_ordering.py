@@ -8,10 +8,10 @@ from gbbench.ordering import (
     EQUAL,
     GREATER,
     LESS,
+    ORACLE_MAX_PAIRS,
     DegRevLexOrder,
     MatrixCachedOrder,
     MatrixDirectOrder,
-    ORDER_KINDS,
     SubtotalOrder,
     WeightMatrix,
     cmp_by_matrix,
@@ -21,11 +21,9 @@ from gbbench.ordering import (
     degrevlex_weight_matrix,
     identity_weight_matrix,
     is_admissible,
-    make_order,
     orders_equivalent_certificate,
     orders_equivalent_oracle,
     subtotal_weight_matrix,
-    weight_vector,
 )
 
 
@@ -125,7 +123,6 @@ def test_weight_vector_prefix_sums():
     w = subtotal_weight_matrix(3)
     a = (2, 5, 1)
     # rows give the partial sums of the exponents, most significant first
-    assert weight_vector(w, a) == (8, 7, 2)
     assert w.weight_vector(a) == (8, 7, 2)
 
 
@@ -240,6 +237,15 @@ def test_oracle_agrees_with_certificate():
         degrevlex_weight_matrix(2), a, b)
 
 
+def test_oracle_refuses_more_than_its_bound():
+    # (D + 1)^(2n) pairs: 5^16 ~ 1.5e11 for the 8x8 matrices at degree 4
+    assert 5 ** 16 > ORACLE_MAX_PAIRS >= 6 ** 8
+    with pytest.raises(ValueError, match="pairs"):
+        orders_equivalent_oracle(subtotal_weight_matrix(8), degrevlex_weight_matrix(8), 4)
+    with pytest.raises(ValueError):
+        orders_equivalent_oracle(subtotal_weight_matrix(2), degrevlex_weight_matrix(2), -1)
+
+
 # ------------------------------------------------------------ order strategies
 
 def _random_pairs(rng, n, count, hi):
@@ -332,19 +338,3 @@ def test_matrix_orders_agree_with_natives_random():
             want = cmp_degrevlex(a, b)
             assert direct.cmp(direct.attach(a), direct.attach(b)) == want
             assert cached.cmp(cached.attach(a), cached.attach(b)) == want
-
-
-def test_make_order():
-    assert set(ORDER_KINDS) == {"native-degrevlex", "native-subtotal",
-                                "matrix-direct", "matrix-cached"}
-    assert isinstance(make_order("native-degrevlex", n=3), DegRevLexOrder)
-    assert isinstance(make_order("native-subtotal", n=3), SubtotalOrder)
-    w = subtotal_weight_matrix(3)
-    assert isinstance(make_order("matrix-direct", matrix=w), MatrixDirectOrder)
-    assert isinstance(make_order("matrix-cached", matrix=w), MatrixCachedOrder)
-    with pytest.raises(ValueError):
-        make_order("native-degrevlex", n=3, matrix=w)
-    with pytest.raises(ValueError):
-        make_order("matrix-direct", n=3)
-    with pytest.raises(ValueError):
-        make_order("mystery", n=3)
