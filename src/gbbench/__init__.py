@@ -22,11 +22,10 @@ from .ordering import (
     orders_equivalent_oracle,
     subtotal_weight_matrix,
 )
-from .poly import PolyContext, Polynomial, Term, CachedTerm, reduce, s_polynomial
+from .poly import PolyContext, Polynomial, reduce, s_polynomial
 from .groebner import (
     EngineStats,
     GroebnerResult,
-    SelectionStrategy,
     audit_cached_weights,
     buchberger,
     reduce_basis,

@@ -22,9 +22,6 @@ from time import perf_counter
 from .corpus import SystemSpec, permute_variables, realize
 from .groebner import (
     EngineStats,
-    INDUCED_ORDER,
-    WEIGHT_VECTOR,
-    SelectionStrategy,
     audit_cached_weights,
     buchberger,
     reduce_basis,
@@ -38,6 +35,7 @@ from .ordering import (
     MatrixDirectOrder,
     MatrixOrder,
     SubtotalOrder,
+    WeightMatrix,
     cmp_degrevlex,
     cmp_subtotal,
     degrevlex_weight_matrix,
@@ -60,6 +58,12 @@ ORDER_LABELS = tuple(ORDERS)
 DEFAULT_ORDERS = ("degrevlex", "grevlex-matrix", "subtotal-matrix", "subtotal")
 DEFAULT_REFERENCE = "grevlex-matrix"
 
+# Pair-selection strategies by name: pick the pair whose lcm is smallest
+# under the run's own order, or by its weight vector under the label's
+# family matrix.
+INDUCED_ORDER = "induced-order"
+WEIGHT_VECTOR = "weight-vector"
+
 
 def order_factory(label: str):
     """Factory n -> MonomialOrder for a roster label."""
@@ -71,12 +75,13 @@ def order_factory(label: str):
     return lambda n: cls(n, label=label)
 
 
-def strategy_for(label: str, n: int, kind: str) -> SelectionStrategy:
-    """Selection strategy for a run; weight-vector uses the order's family matrix."""
+def strategy_for(label: str, n: int, kind: str) -> WeightMatrix | None:
+    """buchberger's strategy argument for a named selection strategy: None
+    for induced-order, the label's family matrix for weight-vector."""
     if kind == INDUCED_ORDER:
-        return SelectionStrategy.induced_order()
+        return None
     if kind == WEIGHT_VECTOR:
-        return SelectionStrategy.weight_vector(ORDERS[label][1](n))
+        return ORDERS[label][1](n)
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
@@ -330,32 +335,9 @@ def _render_csv(report: BenchmarkReport) -> str:
     return buf.getvalue()
 
 
-def parse_report_csv(text: str) -> list:
-    """Parse a CSV report back into row dicts with typed values; the inverse
-    of the CSV renderer over its tabular fields."""
-    rdr = csv.DictReader(io.StringIO(text))
-    out = []
-    for rec in rdr:
-        row: dict = {}
-        for key, val in rec.items():
-            if key in ("name", "degrees"):
-                row[key] = val
-            elif key == "n_vars":
-                row[key] = int(val)
-            elif key.endswith(" aborted"):
-                row[key] = bool(int(val))
-            elif key.endswith((" m", " comparisons", " pairs_processed",
-                               " pairs_skipped_by_criteria", " reduction_steps",
-                               " matvec_products")):
-                row[key] = int(val)
-            else:
-                row[key] = None if val == "" else float(val)
-        out.append(row)
-    return out
-
-
 def _render_jsonl(report: BenchmarkReport) -> str:
-    lines = [json.dumps({"type": "config", **asdict(report.config)}, sort_keys=True)]
+    # each record's keys come in the order written here, its type first
+    lines = [json.dumps({"type": "config", **asdict(report.config)})]
     for r in report.rows:
         cells = {}
         for lab, cell in r.cells.items():
@@ -372,11 +354,11 @@ def _render_jsonl(report: BenchmarkReport) -> str:
             "degrees": r.degrees,
             "cells": cells,
             "ratios": r.ratios,
-        }, sort_keys=True))
+        }))
     lines.append(json.dumps({
         "type": "summary",
         "ratios": {k: asdict(s) for k, s in report.summaries.items()},
-    }, sort_keys=True))
+    }))
     return "\n".join(lines) + "\n"
 
 

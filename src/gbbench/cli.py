@@ -15,14 +15,15 @@ from .bench import (
     BenchmarkConfig,
     DEFAULT_ORDERS,
     DEFAULT_REFERENCE,
+    INDUCED_ORDER,
     ORDER_LABELS,
     ORDERS,
+    WEIGHT_VECTOR,
     comparator_microbench,
     render_report,
     run_benchmark,
     verify_order_robustness,
 )
-from .groebner import INDUCED_ORDER, WEIGHT_VECTOR
 from .modfield import PrimeField
 from .ordering import (
     DegRevLexOrder,
@@ -196,6 +197,8 @@ def _load_matrix(path: str, parser) -> WeightMatrix:
 
 
 def cmd_check_matrix(args, parser) -> int:
+    if args.oracle_degree is not None and args.against is None:
+        parser.error("--oracle-degree needs --against")
     w = _load_matrix(args.matrix, parser)
     admissible = is_admissible(w)
     print(f"{args.matrix}: {w.n}x{w.n}, admissible={'yes' if admissible else 'no'}")
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply the occurrence-count variable reordering heuristic")
     p_run.add_argument("--format", choices=("text", "csv", "jsonl"), default="text")
     p_run.add_argument("--output", "-o", default=None, metavar="PATH")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, parser=p_run)
 
     p_ver = sub.add_parser("verify", help="cross-check bases across every order and strategy")
     _add_system_args(p_ver)
@@ -269,29 +272,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--time-limit", type=float, default=120.0, metavar="SEC")
     p_ver.add_argument("--strategies", choices=("both", INDUCED_ORDER, WEIGHT_VECTOR),
                        default="both")
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, parser=p_ver)
 
     p_mb = sub.add_parser("microbench", help="time the bare comparators on random data")
     p_mb.add_argument("--vars", type=int, default=8)
     p_mb.add_argument("--samples", type=int, default=1_000_000)
     p_mb.add_argument("--seed", type=int, default=0)
     p_mb.add_argument("--max-exponent", type=int, default=30)
-    p_mb.set_defaults(func=cmd_microbench)
+    p_mb.set_defaults(func=cmd_microbench, parser=p_mb)
 
     p_cm = sub.add_parser("check-matrix", help="admissibility and order-equivalence checks")
     p_cm.add_argument("matrix", help="weight-matrix file (first line n, then n rows)")
     p_cm.add_argument("--against", default=None, metavar="PATH",
                       help="second matrix to test for order equivalence")
     p_cm.add_argument("--oracle-degree", type=int, default=None, metavar="D",
-                      help="also brute-force compare on exponents up to D")
-    p_cm.set_defaults(func=cmd_check_matrix)
+                      help="with --against, also brute-force compare on exponents up to D")
+    p_cm.set_defaults(func=cmd_check_matrix, parser=p_cm)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    # every input error, unknown options included, prints the subcommand's
+    # usage line, not the top-level one
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args.func(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Buchberger's algorithm over Z_p, generic over order and selection strategy.
+"""Buchberger's algorithm over Z_p, generic over order and pair selection.
 
 The engine never looks inside monomial handles; the order strategy owns the
 representation. Pair bookkeeping follows the Gebauer-Moeller update, which
@@ -14,44 +14,12 @@ import bisect
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
+from operator import mul
 from time import perf_counter
 from typing import NamedTuple
 
 from .ordering import MatrixCachedOrder, WeightMatrix
 from .poly import Polynomial, TimeLimitExceeded, reduce, s_polynomial
-
-INDUCED_ORDER = "induced-order"
-WEIGHT_VECTOR = "weight-vector"
-
-
-@dataclass(frozen=True)
-class SelectionStrategy:
-    """How the engine picks the next critical pair.
-
-    induced-order: smallest pair lcm under the run's own order.
-    weight-vector: smallest weight vector of the lcm under a fixed matrix,
-    compared lexicographically (ties fall back to pair indices either way).
-    """
-
-    kind: str = INDUCED_ORDER
-    matrix: WeightMatrix | None = None
-
-    def __post_init__(self):
-        if self.kind not in (INDUCED_ORDER, WEIGHT_VECTOR):
-            raise ValueError(f"unknown selection strategy {self.kind!r}")
-        if self.kind == WEIGHT_VECTOR and self.matrix is None:
-            raise ValueError("weight-vector selection needs a weight matrix")
-        if self.kind == INDUCED_ORDER and self.matrix is not None:
-            raise ValueError("induced-order selection takes no matrix")
-
-    @classmethod
-    def induced_order(cls) -> "SelectionStrategy":
-        return cls(INDUCED_ORDER)
-
-    @classmethod
-    def weight_vector(cls, matrix: WeightMatrix) -> "SelectionStrategy":
-        return cls(WEIGHT_VECTOR, matrix)
-
 
 @dataclass
 class EngineStats:
@@ -143,10 +111,10 @@ def _update(G, lm_exps, P, f, order, stats, pair_key) -> None:
     lm_exps.append(eh)
 
 
-def _select_index(P, order, strategy) -> int:
+def _select_index(P, order, pair_key) -> int:
     """Index of the preferred pair; ties broken by (i, j) for determinism."""
     best = 0
-    if strategy.kind == WEIGHT_VECTOR:
+    if pair_key is not None:
         bk = (P[0].key, P[0].i, P[0].j)
         for idx in range(1, len(P)):
             pr = P[idx]
@@ -167,10 +135,15 @@ def _select_index(P, order, strategy) -> int:
     return best
 
 
-def buchberger(F, *, strategy: SelectionStrategy | None = None,
+def buchberger(F, *, strategy: WeightMatrix | None = None,
                max_seconds: float | None = None,
                max_pairs: int | None = None) -> GroebnerResult:
     """Groebner basis of the ideal generated by F under the context order.
+
+    The next critical pair is the one whose lcm is smallest: under the run's
+    own order when strategy is None, else by the lcm's weight vector under
+    the strategy matrix, compared lexicographically (ties fall back to pair
+    indices either way). The same preference orders the reducers.
 
     Returns GroebnerResult(basis, stats, aborted). When a limit trips, the
     result has aborted=True and basis=None, with the stats gathered so far;
@@ -180,7 +153,7 @@ def buchberger(F, *, strategy: SelectionStrategy | None = None,
     The comparison and matrix-product counts in the stats are the order
     object's running totals at return, so work done while building the input
     polynomials (term sorting, weight materialization) is included. Use a
-    fresh order per run, or reset_counters(), for per-run numbers.
+    fresh order per run for per-run numbers.
     """
     F = list(F)
     if not F:
@@ -191,18 +164,15 @@ def buchberger(F, *, strategy: SelectionStrategy | None = None,
             raise ValueError("polynomials from different contexts")
         if f.is_zero:
             raise ValueError("zero polynomial in the input")
-    if strategy is None:
-        strategy = SelectionStrategy.induced_order()
-    if strategy.kind == WEIGHT_VECTOR and strategy.matrix.n != ctx.nvars:
-        raise ValueError(
-            f"selection matrix is {strategy.matrix.n}x{strategy.matrix.n}, "
-            f"context has {ctx.nvars} variables")
+    if strategy is not None and strategy.n != ctx.nvars:
+        raise ValueError(f"selection matrix is {strategy.n}x{strategy.n}, "
+                         f"context has {ctx.nvars} variables")
 
     order = ctx.order
     stats = EngineStats()
     start = perf_counter()
     deadline = start + max_seconds if max_seconds is not None else None
-    pair_key = strategy.matrix.weight_vector if strategy.kind == WEIGHT_VECTOR else None
+    pair_key = strategy.weight_vector if strategy is not None else None
 
     G: list = []
     lm_exps: list = []
@@ -241,7 +211,7 @@ def buchberger(F, *, strategy: SelectionStrategy | None = None,
                 raise TimeLimitExceeded
             if deadline is not None and perf_counter() > deadline:
                 raise TimeLimitExceeded
-            pr = P.pop(_select_index(P, order, strategy))
+            pr = P.pop(_select_index(P, order, pair_key))
             s = s_polynomial(G[pr.i], G[pr.j])
             stats.pairs_processed += 1
             r = reduce(s, red_polys, deadline=deadline, stats=stats)
@@ -288,43 +258,40 @@ _PROBE_STRIDE = 4096
 
 
 def _packed_layout(order, G, F):
-    """Bit layout for the integer-packed verifier, or None.
+    """Bit layout for the integer-packed verifier.
 
-    Monomials and their sort keys pack into single big integers, one field
-    per component (most significant first), so the inner loop is pure integer
-    arithmetic and lexicographic key comparison becomes numeric comparison.
-    Safe only when the key is integer-valued and degree-first (first key
-    component = total degree): then every monomial met during top-reduction
-    has degree at most that of the seed, which bounds every field. Returns
-    (pack_key, pack_exps, mtop) where mtop masks the per-field guard bits of
-    the divisibility test.
+    Monomials and their weight vectors under order.matrix pack into single
+    big integers, one field per component (most significant first), so the
+    inner loop is pure integer arithmetic and lexicographic weight comparison
+    becomes numeric comparison. Safe only when the matrix is integer and
+    degree-first (first row all ones): then every monomial met during
+    top-reduction has degree at most that of the seed, which bounds every
+    field; any other order raises ValueError. The packed key is linear in the
+    exponents, key(e) = bias + sum(e_i * K_i) with K_i the packed column i.
+    Returns (pack_key, pack_exps, mtop) where mtop masks the per-field guard
+    bits of the divisibility test.
     """
+    rows = order.matrix.int_rows
+    if rows is None or any(v != 1 for v in rows[0]):
+        raise ValueError(f"verify_groebner needs a degree-first order with integer weights; "
+                         f"{order.label} is not one")
     n = order.n
-    try:
-        unit_keys = [order.sort_key(tuple(int(j == i) for j in range(n)))
-                     for i in range(n)]
-    except NotImplementedError:
-        return None
-    vals = [v for uk in unit_keys for v in uk]
-    if any(not isinstance(v, int) for v in vals):
-        return None
-    if any(uk[0] != 1 for uk in unit_keys):
-        return None
     maxdeg = 1
     for poly in G + F:
-        for _, e in poly.term_list():
+        for e, _ in poly.as_tuples():
             maxdeg = max(maxdeg, sum(e))
     # pending monomials never exceed twice the largest input degree (S-pair
     # lcms), and each key component is a weight row against such a monomial
-    bound = 2 * maxdeg * max(1, max(abs(v) for v in vals)) + 1
+    bound = 2 * maxdeg * max(abs(v) for row in rows for v in row) + 1
     width = bound.bit_length() + 2
     bias = 1 << (width - 1)
+    shifts = [width * (n - 1 - r) for r in range(n)]
+    cols = [sum(row[i] << s for row, s in zip(rows, shifts)) for i in range(n)]
+    # every field carries the same bias, so the key's bias is the guard mask
+    mtop = sum(bias << s for s in shifts)
 
-    def pack_key(k) -> int:
-        acc = 0
-        for v in k:
-            acc = (acc << width) | (v + bias)
-        return acc
+    def pack_key(e) -> int:
+        return mtop + sum(map(mul, e, cols))
 
     def pack_exps(e) -> int:
         acc = 0
@@ -332,24 +299,19 @@ def _packed_layout(order, G, F):
             acc = (acc << width) | v
         return acc
 
-    mtop = 0
-    for _ in range(n):
-        mtop = (mtop << width) | bias
     return pack_key, pack_exps, mtop
 
 
 def _packed_basis(G, pack_key, pack_exps):
-    order = G[0].context.order
-    key_of = order.sort_key
     inv = G[0].context.field.inv
     prepped = []
     for g in G:
-        terms = g.term_list()
-        lm_c, lm_e = terms[0]
-        lm_k = pack_key(key_of(lm_e))
+        terms = g.as_tuples()
+        lm_e, lm_c = terms[0]
+        lm_k = pack_key(lm_e)
         lm_ep = pack_exps(lm_e)
-        tail = [(pack_key(key_of(e)) - lm_k, pack_exps(e) - lm_ep, c)
-                for c, e in terms[1:]]
+        tail = [(pack_key(e) - lm_k, pack_exps(e) - lm_ep, c)
+                for e, c in terms[1:]]
         prepped.append((lm_ep, inv(lm_c), tail))
     return prepped
 
@@ -404,33 +366,6 @@ def _sinks_packed(seed, prepped, p, mtop, deadline) -> bool:
     return True
 
 
-def _verify_packed_route(G, F, order, p, deadline, layout) -> bool:
-    pack_key, pack_exps, mtop = layout
-    key_of = order.sort_key
-    prepped = _packed_basis(G, pack_key, pack_exps)
-    lm_raw = [g.term_list()[0].exps for g in G]
-    for i in range(len(G)):
-        _, inv_i, tail_i = prepped[i]
-        for j in range(i + 1, len(G)):
-            if deadline is not None and perf_counter() > deadline:
-                raise TimeLimitExceeded
-            _, inv_j, tail_j = prepped[j]
-            big = tuple(map(max, lm_raw[i], lm_raw[j]))
-            k_big = pack_key(key_of(big))
-            e_big = pack_exps(big)
-            seed = [(k_big + dk, e_big + de, inv_i * ct % p)
-                    for dk, de, ct in tail_i]
-            seed += [(k_big + dk, e_big + de, (p - inv_j) * ct % p)
-                     for dk, de, ct in tail_j]
-            if not _sinks_packed(seed, prepped, p, mtop, deadline):
-                return False
-    for f in F:
-        seed = [(pack_key(key_of(e)), pack_exps(e), c) for c, e in f.term_list()]
-        if not _sinks_packed(seed, prepped, p, mtop, deadline):
-            return False
-    return True
-
-
 def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     """Criterion-free certificate check, independent of the engine's shortcuts.
 
@@ -439,9 +374,9 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     reduces to zero, so the input ideal is contained in the one G generates.
     Normal forms are recomputed on the verifier's own heap accumulator rather
     than the engine's merge reducer, so the two routes share no arithmetic.
-    Monomials and keys are packed into single integers, which needs a
-    degree-first order with integer weights (every order this package
-    ships); any other order raises ValueError.
+    Monomials and keys are packed into single integers, which needs the
+    order's weight matrix to be integer and degree-first (every order this
+    package ships); any other order raises ValueError.
     """
     G = [g for g in G if not g.is_zero]
     F = list(F) if F is not None else []
@@ -454,11 +389,29 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     order = ctx.order
     p = ctx.field.p
     deadline = perf_counter() + max_seconds if max_seconds is not None else None
-    layout = _packed_layout(order, G, F)
-    if layout is None:
-        raise ValueError(f"verify_groebner needs a degree-first order with integer weights; "
-                         f"{order.label} is not one")
-    return _verify_packed_route(G, F, order, p, deadline, layout)
+    pack_key, pack_exps, mtop = _packed_layout(order, G, F)
+    prepped = _packed_basis(G, pack_key, pack_exps)
+    lm_raw = [order.exps(g.leading_monomial()) for g in G]
+    for i in range(len(G)):
+        _, inv_i, tail_i = prepped[i]
+        for j in range(i + 1, len(G)):
+            if deadline is not None and perf_counter() > deadline:
+                raise TimeLimitExceeded
+            _, inv_j, tail_j = prepped[j]
+            big = tuple(map(max, lm_raw[i], lm_raw[j]))
+            k_big = pack_key(big)
+            e_big = pack_exps(big)
+            seed = [(k_big + dk, e_big + de, inv_i * ct % p)
+                    for dk, de, ct in tail_i]
+            seed += [(k_big + dk, e_big + de, (p - inv_j) * ct % p)
+                     for dk, de, ct in tail_j]
+            if not _sinks_packed(seed, prepped, p, mtop, deadline):
+                return False
+    for f in F:
+        seed = [(pack_key(e), pack_exps(e), c) for e, c in f.as_tuples()]
+        if not _sinks_packed(seed, prepped, p, mtop, deadline):
+            return False
+    return True
 
 
 def reorder_variables(F) -> tuple:
@@ -495,9 +448,10 @@ def audit_cached_weights(polys) -> list:
         order = f.context.order
         if not isinstance(order, MatrixCachedOrder):
             raise TypeError(f"order {order.label} keeps no cached weights")
-        W = order.matrix
-        for ct in f.cached_term_list():
-            recomputed = W.weight_vector(ct.term.exps)
-            if tuple(ct.cached_weights) != recomputed:
-                out.append((ct.term.exps, tuple(ct.cached_weights), recomputed))
+        for h, _ in f.terms:
+            exps = order.exps(h)
+            cached = order.weights(h)
+            recomputed = order.matrix.weight_vector(exps)
+            if cached != recomputed:
+                out.append((exps, cached, recomputed))
     return out

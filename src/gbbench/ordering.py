@@ -317,20 +317,17 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
 # stores for one power product; native strategies use the bare exponent
 # tuple, the cached-matrix strategy pairs it with its weight vector so a
 # comparison is a single tuple comparison and a product is a vector add.
+# Every strategy carries its weight matrix: the natives their family's, the
+# matrix strategies the one they are built from.
 
 class MonomialOrder:
-    """Base strategy: handles are exponent tuples; cmp is abstract."""
+    """Base strategy: the order is `matrix`; handles are exponent tuples;
+    cmp is abstract."""
 
-    def __init__(self, n: int, label: str | None = None):
-        if n < 1:
-            raise ValueError(f"need at least one variable, got {n}")
-        self.n = n
+    def __init__(self, matrix: WeightMatrix, label: str | None = None):
+        self.n = matrix.n
+        self.matrix = matrix
         self.label = label or type(self).__name__
-        self.matrix: WeightMatrix | None = None
-        self.comparisons = 0
-        self.matvec_products = 0
-
-    def reset_counters(self) -> None:
         self.comparisons = 0
         self.matvec_products = 0
 
@@ -340,12 +337,6 @@ class MonomialOrder:
 
     def exps(self, h):
         return h
-
-    def one(self):
-        return self.attach((0,) * self.n)
-
-    def degree(self, h) -> int:
-        return sum(self.exps(h))
 
     def mul(self, a, b):
         return tuple(map(_add, a, b))
@@ -365,19 +356,15 @@ class MonomialOrder:
     def cmp(self, a, b) -> int:
         raise NotImplementedError
 
-    def sort_key(self, exps) -> tuple:
-        """Flat numeric tuple over raw exponents that sorts ascending in this
-        order. Lexicographic comparison of keys agrees with cmp, and the key
-        of a product is the componentwise sum of the keys, so consumers can
-        track keys through multiplications. Touches no cache or counter."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label} n={self.n}>"
 
 
 class DegRevLexOrder(MonomialOrder):
     """Native degRevLex comparator on exponent tuples."""
+
+    def __init__(self, n: int, label: str | None = None):
+        super().__init__(degrevlex_weight_matrix(n), label)
 
     def cmp(self, a, b) -> int:
         self.comparisons += 1
@@ -392,15 +379,12 @@ class DegRevLexOrder(MonomialOrder):
                 return LESS if ak > bk else GREATER
         return EQUAL
 
-    def sort_key(self, exps) -> tuple:
-        out = [sum(exps)]
-        for v in reversed(exps):
-            out.append(-v)
-        return tuple(out)
-
 
 class SubtotalOrder(MonomialOrder):
     """Native subtotal comparator on exponent tuples."""
+
+    def __init__(self, n: int, label: str | None = None):
+        super().__init__(subtotal_weight_matrix(n), label)
 
     def cmp(self, a, b) -> int:
         self.comparisons += 1
@@ -413,21 +397,14 @@ class SubtotalOrder(MonomialOrder):
                 return GREATER if ak > bk else LESS
         return EQUAL
 
-    def sort_key(self, exps) -> tuple:
-        return tuple(accumulate(exps))[::-1]
-
 
 class MatrixOrder(MonomialOrder):
     """Base of the weight-matrix strategies, built from an admissible matrix."""
 
     def __init__(self, matrix: WeightMatrix, label: str | None = None):
-        super().__init__(matrix.n, label)
+        super().__init__(matrix, label)
         if not is_admissible(matrix):
             raise ValueError("order strategies require an admissible weight matrix")
-        self.matrix = matrix
-
-    def sort_key(self, exps) -> tuple:
-        return self.matrix.weight_vector(exps)
 
 
 class MatrixDirectOrder(MatrixOrder):

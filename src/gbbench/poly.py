@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 from time import perf_counter
-from typing import NamedTuple
 
 from .modfield import PrimeField
 from .ordering import MonomialOrder
@@ -19,16 +18,6 @@ from .ordering import MonomialOrder
 
 class TimeLimitExceeded(Exception):
     """A reduction or basis computation ran past its deadline."""
-
-
-class Term(NamedTuple):
-    coeff: int
-    exps: tuple
-
-
-class CachedTerm(NamedTuple):
-    term: Term
-    cached_weights: tuple
 
 
 class PolyContext:
@@ -141,31 +130,10 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def leading_exps(self) -> tuple:
-        return self.context.order.exps(self.leading_monomial())
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        degree = self.context.order.degree
-        return max(degree(h) for h, _ in self.terms)
-
     def as_tuples(self) -> tuple:
         """Order-independent view: ((exps, coeff), ...) in storage order."""
         exps = self.context.order.exps
         return tuple((exps(h), c) for h, c in self.terms)
-
-    def term_list(self) -> list:
-        exps = self.context.order.exps
-        return [Term(c, exps(h)) for h, c in self.terms]
-
-    def cached_term_list(self) -> list:
-        """Terms with their cached weight vectors; cached-matrix contexts only."""
-        weights = getattr(self.context.order, "weights", None)
-        if weights is None:
-            raise TypeError(f"order {self.context.order.label} keeps no cached weights")
-        exps = self.context.order.exps
-        return [CachedTerm(Term(c, exps(h)), weights(h)) for h, c in self.terms]
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):

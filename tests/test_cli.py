@@ -1,8 +1,8 @@
+import csv
 import json
 
 import pytest
 
-from gbbench.bench import parse_report_csv
 from gbbench.cli import main
 from gbbench.ordering import degrevlex_weight_matrix, identity_weight_matrix, subtotal_weight_matrix
 
@@ -29,10 +29,11 @@ def test_run_csv_to_file(tmp_path, capsys):
                  "--format", "csv", "-o", str(dest)] + FAST)
     assert code == 0
     assert capsys.readouterr().out == ""
-    rows = parse_report_csv(dest.read_text())
+    with dest.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert {r["name"] for r in rows} == {"cyclic-3", "katsura-3"}
     for r in rows:
-        assert r["degrevlex aborted"] is False
+        assert r["degrevlex aborted"] == "0"
 
 
 def test_run_jsonl_format(capsys):
@@ -88,7 +89,7 @@ def test_run_all_aborted_exit_code(capsys):
     assert "ABORTED" in capsys.readouterr().out
 
 
-def test_run_usage_errors(tmp_path):
+def test_run_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"] + FAST)  # no systems selected
     assert exc.value.code == 2
@@ -109,9 +110,11 @@ def test_run_usage_errors(tmp_path):
     vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
     for bad in (["--modulus", "4"], ["--modulus", str(2**89)], ["--time-limit", "0"],
                 ["--seed", "1"], ["--system", str(vanishing)]):
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["run", "--cyclic", "3"] + FAST + bad)
         assert exc.value.code == 2, bad
+        assert capsys.readouterr().err.startswith("usage: gbbench run "), bad
 
 
 def test_verify_usage_errors(tmp_path, capsys):
@@ -121,8 +124,9 @@ def test_verify_usage_errors(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cyclic", "3"] + bad)
         assert exc.value.code == 2, bad
-    out, err = capsys.readouterr()
-    assert "ABORTED" not in out
+        out, err = capsys.readouterr()
+        assert "ABORTED" not in out
+        assert err.startswith("usage: gbbench verify "), bad
     assert "polynomial 1 vanishes mod 32003" in err
 
 
@@ -158,6 +162,7 @@ def test_microbench(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["microbench"] + bad)
         assert exc.value.code == 2, bad
+        assert capsys.readouterr().err.startswith("usage: gbbench microbench "), bad
 
 
 def test_check_matrix_admissible(tmp_path, capsys):
@@ -210,10 +215,11 @@ def test_check_matrix_inequivalence(tmp_path, capsys):
     assert "orders differ" in out
 
 
-def test_check_matrix_input_errors(tmp_path):
+def test_check_matrix_input_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-matrix", str(tmp_path / "missing.txt")])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: gbbench check-matrix ")
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 2 3\n")
     with pytest.raises(SystemExit) as exc:
@@ -230,3 +236,11 @@ def test_check_matrix_input_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check-matrix", sub8, "--against", grev8, "--oracle-degree", "4"])
     assert exc.value.code == 2
+    # the oracle compares against --against, so it is refused without it
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-matrix", two, "--oracle-degree", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "gbbench check-matrix: error: --oracle-degree needs --against"

@@ -1,13 +1,11 @@
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
 from gbbench.corpus import cyclic_system, katsura_system, realize
 from gbbench.groebner import (
-    INDUCED_ORDER,
-    WEIGHT_VECTOR,
     EngineStats,
-    SelectionStrategy,
     audit_cached_weights,
     buchberger,
     reduce_basis,
@@ -20,6 +18,7 @@ from gbbench.ordering import (
     MatrixCachedOrder,
     MatrixDirectOrder,
     SubtotalOrder,
+    WeightMatrix,
     degrevlex_weight_matrix,
     identity_weight_matrix,
     subtotal_weight_matrix,
@@ -35,19 +34,6 @@ def _canon(polys):
     return sorted(p.as_tuples() for p in polys)
 
 
-def test_selection_strategy_validation():
-    s = SelectionStrategy.induced_order()
-    assert s.kind == INDUCED_ORDER and s.matrix is None
-    w = SelectionStrategy.weight_vector(subtotal_weight_matrix(3))
-    assert w.kind == WEIGHT_VECTOR and w.matrix.n == 3
-    with pytest.raises(ValueError):
-        SelectionStrategy(WEIGHT_VECTOR, None)
-    with pytest.raises(ValueError):
-        SelectionStrategy(INDUCED_ORDER, subtotal_weight_matrix(3))
-    with pytest.raises(ValueError):
-        SelectionStrategy("random", None)
-
-
 def test_buchberger_validates_input():
     ctx = _ctx(2)
     with pytest.raises(ValueError):
@@ -59,7 +45,7 @@ def test_buchberger_validates_input():
     with pytest.raises(ValueError):
         buchberger([f, g])
     with pytest.raises(ValueError):
-        buchberger([f], strategy=SelectionStrategy.weight_vector(subtotal_weight_matrix(3)))
+        buchberger([f], strategy=subtotal_weight_matrix(3))
 
 
 def test_buchberger_univariate_gcd():
@@ -139,8 +125,7 @@ def test_strategies_reach_the_same_reduced_basis():
     field = PrimeField(32003)
     spec = cyclic_system(4)
     base = None
-    for strategy in (SelectionStrategy.induced_order(),
-                     SelectionStrategy.weight_vector(degrevlex_weight_matrix(4))):
+    for strategy in (None, degrevlex_weight_matrix(4)):
         polys = realize(spec, DegRevLexOrder(4), field)
         red = reduce_basis(buchberger(polys, strategy=strategy).basis)
         canon = _canon(red)
@@ -188,7 +173,7 @@ def test_reduce_basis_properties():
     red = reduce_basis(buchberger(polys).basis)
     assert len(red) == 20
     # monic, pairwise minimal leading monomials, ascending order
-    lms = [p.leading_exps() for p in red]
+    lms = [order.exps(p.leading_monomial()) for p in red]
     for i, p in enumerate(red):
         assert p.leading_coeff() == 1
         for j, q in enumerate(red):
@@ -219,6 +204,11 @@ def test_verify_groebner_accepts_and_rejects():
     lex = realize(cyclic_system(3), MatrixDirectOrder(identity_weight_matrix(3)), field)
     with pytest.raises(ValueError, match="degree-first"):
         verify_groebner(reduce_basis(buchberger(lex).basis), lex)
+    # degree-first and admissible, but with a rational weight
+    half = WeightMatrix([(1, 1, 1), (Fraction(1, 2), 0, 0), (0, 1, 0)])
+    rat = realize(cyclic_system(3), MatrixDirectOrder(half), field)
+    with pytest.raises(ValueError, match="integer weights"):
+        verify_groebner(reduce_basis(buchberger(rat).basis), rat)
 
 
 def test_verify_groebner_across_strategies():

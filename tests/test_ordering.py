@@ -260,8 +260,6 @@ def test_native_orders_cmp_and_counters():
     b = order.attach((1, 1, 1))
     assert order.cmp(a, b) == cmp_degrevlex((2, 0, 1), (1, 1, 1))
     assert order.comparisons == 1
-    order.reset_counters()
-    assert order.comparisons == 0
     sub = SubtotalOrder(3)
     assert sub.cmp(sub.attach((0, 2, 0)), sub.attach((1, 0, 1))) == GREATER
 
@@ -271,8 +269,6 @@ def test_handle_protocol_native():
     a = order.attach((2, 1, 0))
     b = order.attach((1, 1, 2))
     assert order.exps(a) == (2, 1, 0)
-    assert order.degree(a) == 3
-    assert order.exps(order.one()) == (0, 0, 0)
     assert order.exps(order.mul(a, b)) == (3, 2, 2)
     assert order.div(a, b) is None
     assert order.exps(order.div(order.mul(a, b), b)) == (2, 1, 0)

@@ -7,7 +7,6 @@ from gbbench.modfield import PrimeField
 from gbbench.ordering import DegRevLexOrder, MatrixCachedOrder, subtotal_weight_matrix
 from gbbench.poly import (
     PolyContext,
-    Term,
     TimeLimitExceeded,
     reduce,
     s_polynomial,
@@ -23,9 +22,7 @@ def test_polynomial_builder_sorts_and_merges():
     f = ctx.polynomial([((0, 0, 1), 4), ((2, 0, 0), 1), ((0, 0, 1), 5)])
     # descending order, duplicates merged
     assert f.as_tuples() == (((2, 0, 0), 1), ((0, 0, 1), 9))
-    assert f.leading_exps() == (2, 0, 0)
     assert f.leading_coeff() == 1
-    assert f.total_degree() == 2
     assert len(f) == 2
 
 
@@ -45,7 +42,7 @@ def test_zero_polynomial_has_no_leading_data():
         z.leading_monomial()
     with pytest.raises(ValueError):
         z.leading_coeff()
-    assert z.total_degree() == -1
+    assert z.as_tuples() == ()
 
 
 def test_add_sub_neg():
@@ -178,13 +175,10 @@ def test_polynomial_with_cached_matrix_order():
     order = MatrixCachedOrder(subtotal_weight_matrix(3))
     ctx = PolyContext(3, PrimeField(32003), order)
     f = ctx.polynomial([((1, 1, 0), 2), ((0, 0, 2), 3)])
-    assert f.leading_exps() == (1, 1, 0)
-    pairs = f.cached_term_list()
-    assert pairs[0].cached_weights == subtotal_weight_matrix(3).weight_vector((1, 1, 0))
-    assert pairs[1].term == Term(3, (0, 0, 2))
-    # native contexts have no cached weights to expose
-    with pytest.raises(TypeError):
-        _ctx().polynomial([((1, 0, 0), 1)]).cached_term_list()
+    assert f.as_tuples() == (((1, 1, 0), 2), ((0, 0, 2), 3))
+    # each handle carries its weight vector
+    assert [order.weights(h) for h, _ in f.terms] == [
+        subtotal_weight_matrix(3).weight_vector(e) for e, _ in f.as_tuples()]
 
 
 def test_format_and_equality():
