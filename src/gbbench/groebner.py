@@ -19,7 +19,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .ordering import MatrixCachedOrder, WeightMatrix
-from .poly import Polynomial, TimeLimitExceeded, reduce, s_polynomial
+from .poly import Polynomial, Reducers, TimeLimitExceeded, reduce, s_polynomial
 
 @dataclass
 class EngineStats:
@@ -180,7 +180,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
 
     # reducers: G resorted ascending by the strategy's preference, so the
     # first divisor found is the preferred one
-    red_polys: list = []
+    reducers = Reducers(ctx)
     red_keys: list = []
 
     def insert_reducer(g: Polynomial, gi: int) -> None:
@@ -188,16 +188,15 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
             k = (pair_key(order.exps(g.leading_monomial())), gi)
             at = bisect.bisect_left(red_keys, k)
             red_keys.insert(at, k)
-            red_polys.insert(at, g)
         else:
             lm = g.leading_monomial()
             cmp = order.cmp
-            at = len(red_polys)
-            for idx, other in enumerate(red_polys):
-                if cmp(lm, other.leading_monomial()) < 0:
+            at = len(reducers.entries)
+            for idx, entry in enumerate(reducers.entries):
+                if cmp(lm, entry[0]) < 0:
                     at = idx
                     break
-            red_polys.insert(at, g)
+        reducers.insert(at, g)
 
     aborted = False
     basis = None
@@ -214,7 +213,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
             pr = P.pop(_select_index(P, order, pair_key))
             s = s_polynomial(G[pr.i], G[pr.j])
             stats.pairs_processed += 1
-            r = reduce(s, red_polys, deadline=deadline, stats=stats)
+            r = reduce(s, reducers, deadline=deadline, stats=stats)
             if not r.is_zero:
                 rm = r.monic()
                 _update(G, lm_exps, P, rm, order, stats, pair_key)
@@ -236,7 +235,8 @@ def reduce_basis(G) -> list:
     G = [g for g in G if not g.is_zero]
     if not G:
         return []
-    order = G[0].context.order
+    ctx = G[0].context
+    order = ctx.order
     by_lm = cmp_to_key(lambda f, g: order.cmp(f.leading_monomial(), g.leading_monomial()))
     G_sorted = sorted(G, key=by_lm)
     minimal: list = []
@@ -244,12 +244,13 @@ def reduce_basis(G) -> list:
         e = order.exps(g.leading_monomial())
         if not any(_divides(order.exps(m.leading_monomial()), e) for m in minimal):
             minimal.append(g)
+    # one table for every element: each term below lm(g) is smaller than
+    # lm(g), so none is divisible by it and g never fires on its own tail
+    table = Reducers(ctx, minimal)
     out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce(g, others)
-        if not r.is_zero:
-            out.append(r.monic())
+    for g in minimal:
+        tail = reduce(Polynomial(ctx, g.terms[1:]), table)
+        out.append(Polynomial(ctx, g.terms[:1] + tail.terms).monic())
     out.sort(key=by_lm)
     return out
 

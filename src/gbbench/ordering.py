@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, product
+from math import lcm
 from operator import add as _add, sub as _sub
 
 LESS = -1
@@ -138,10 +139,27 @@ class WeightMatrix:
         return WeightMatrix(tuple(tuple(row[n:]) for row in aug))
 
     def is_singular(self) -> bool:
-        try:
-            self.inverse()
-        except ValueError:
-            return True
+        """Fraction-free (Bareiss) elimination on the rows scaled to integers;
+        scaling a row by a nonzero factor does not change singularity."""
+        n = self.n
+        M = []
+        for row in self.rows:
+            d = lcm(*(x.denominator for x in row))
+            M.append([x.numerator * (d // x.denominator) for x in row])
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if M[r][k]), None)
+            if piv is None:
+                return True
+            M[k], M[piv] = M[piv], M[k]
+            mk = M[k]
+            pk = mk[k]
+            for i in range(k + 1, n):
+                mi = M[i]
+                f = mi[k]
+                for j in range(k + 1, n):
+                    mi[j] = (mi[j] * pk - f * mk[j]) // prev
+            prev = pk
         return False
 
     def to_text(self) -> str:
@@ -388,14 +406,17 @@ class SubtotalOrder(MonomialOrder):
 
     def cmp(self, a, b) -> int:
         self.comparisons += 1
-        A = list(accumulate(a))
-        B = list(accumulate(b))
-        for k in range(len(A) - 1, -1, -1):
-            ak = A[k]
-            bk = B[k]
-            if ak != bk:
-                return GREATER if ak > bk else LESS
-        return EQUAL
+        # A_n is the total degree; step down with A_(k-1) = A_k - a_k
+        A = sum(a)
+        B = sum(b)
+        k = len(a) - 1
+        while A == B:
+            if k == 0:
+                return EQUAL
+            A -= a[k]
+            B -= b[k]
+            k -= 1
+        return GREATER if A > B else LESS
 
 
 class MatrixOrder(MonomialOrder):

@@ -10,6 +10,7 @@ serves native comparators and matrix orders with cached weight vectors.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import compress
 from time import perf_counter
 
 from .modfield import PrimeField
@@ -94,13 +95,11 @@ def _merge(ctx: PolyContext, A, B, negate_b: bool, ia: int = 0, ib: int = 0) -> 
                 out.append((ha, s))
             ia += 1
             ib += 1
-    while ia < la:
-        out.append(A[ia])
-        ia += 1
-    while ib < lb:
-        hb, cb = B[ib]
-        out.append((hb, p - cb) if negate_b else (hb, cb))
-        ib += 1
+    out += A[ia:]
+    if negate_b:
+        out += [(hb, p - cb) for hb, cb in B[ib:]]
+    else:
+        out += B[ib:]
     return out
 
 
@@ -236,26 +235,61 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 _DEADLINE_STRIDE = 4096
 
 
+class Reducers:
+    """Divisor table for reduce: the reducers in probe order, each set up once.
+
+    An entry is (leading handle, mask, inverse of the leading coefficient,
+    terms). The mask has bit i set when variable i occurs in the leading
+    monomial, so a reducer whose mask has a bit that a term's mask lacks
+    cannot divide that term and reduce skips its div (Singular's short
+    exponent vectors, Bachmann and Schoenemann, ISSAC 1998, at one bit per
+    variable). Callers that keep a table across reduce calls pay for the
+    inversions and context checks once per reducer, not once per call.
+    """
+
+    __slots__ = ("context", "bits", "entries")
+
+    def __init__(self, context: PolyContext, G=()):
+        self.context = context
+        self.bits = tuple(1 << i for i in range(context.nvars))
+        self.entries: list = []
+        for g in G:
+            self.insert(len(self.entries), g)
+
+    def mask(self, h) -> int:
+        """Bit i set iff variable i occurs in the monomial with handle h."""
+        return sum(compress(self.bits, self.context.order.exps(h)))
+
+    def insert(self, at: int, g: Polynomial) -> None:
+        """Make g the reducer probed at position `at`."""
+        if g.context is not self.context:
+            raise ValueError("polynomials from different contexts")
+        if g.is_zero:
+            raise ValueError("zero polynomial among the reducers")
+        h, c = g.terms[0]
+        self.entries.insert(at, (h, self.mask(h), self.context.field.inv(c), g.terms))
+
+
 def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Polynomial:
     """Full normal form of f modulo the polynomials in G.
 
     Every term of the result is divisible by no leading monomial of G, not
-    just the leading one. Divisor probing follows the sequence order of G, so
-    callers control the reducer preference by sorting G. Raises
-    TimeLimitExceeded when a deadline (perf_counter timestamp) passes.
+    just the leading one. G is a Reducers table or an iterable of
+    polynomials, which is made into one. Divisor probing follows the sequence
+    order of G, so callers control the reducer preference by sorting G.
+    Raises TimeLimitExceeded when a deadline (perf_counter timestamp) passes.
     """
     ctx = f.context
+    if not isinstance(G, Reducers):
+        G = Reducers(ctx, G)
+    elif G.context is not ctx:
+        raise ValueError("polynomials from different contexts")
     order = ctx.order
     div = order.div
     mul = order.mul
     p = ctx.field.p
-    inv = ctx.field.inv
-    lms = []
-    for g in G:
-        _same_context(f, g)
-        if g.is_zero:
-            raise ValueError("zero polynomial among the reducers")
-        lms.append((g.terms[0][0], inv(g.terms[0][1]), g.terms))
+    mask = G.mask
+    entries = G.entries
 
     work = list(f.terms)
     out: list = []
@@ -264,17 +298,18 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     tick = 0
     while i0 < len(work):
         h, c = work[i0]
-        hit = None
-        for lm_g, inv_lc, terms_g in lms:
+        # bits of the variables absent from h: a reducer using one cannot divide
+        absent = ~mask(h)
+        for lm_g, mask_g, inv_lc, terms_g in entries:
+            if mask_g & absent:
+                continue
             q = div(h, lm_g)
             if q is not None:
-                hit = (q, inv_lc, terms_g)
                 break
-        if hit is None:
+        else:
             out.append((h, c))
             i0 += 1
             continue
-        q, inv_lc, terms_g = hit
         steps += 1
         if deadline is not None:
             tick += 1

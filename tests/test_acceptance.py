@@ -36,6 +36,8 @@ from gbbench.ordering import (
     subtotal_weight_matrix,
 )
 
+pytestmark = pytest.mark.slow
+
 ROBUSTNESS_SYSTEMS = ("cyclic-4", "cyclic-5", "katsura-4", "katsura-5",
                       "Lichtblau 3", "Mathematica help")
 

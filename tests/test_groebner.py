@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gbbench.corpus import cyclic_system, katsura_system, realize
+from gbbench.bench import INDUCED_ORDER, ORDER_LABELS, WEIGHT_VECTOR, order_factory, strategy_for
+from gbbench.corpus import cyclic_system, katsura_system, load_bundled, realize
 from gbbench.groebner import (
     EngineStats,
     audit_cached_weights,
@@ -148,6 +149,38 @@ def test_equivalent_orders_agree_on_traces():
         seen.add((res.stats.pairs_processed, res.stats.pairs_skipped_by_criteria,
                   res.stats.reduction_steps, res.stats.comparisons))
     assert len(seen) == 1
+
+
+# (comparisons, order.comparisons after reduce_basis, reduction_steps,
+# pairs_processed, pairs_skipped, |basis|, |reduced basis|), the same under
+# every roster label
+PINNED_COUNTS = {
+    ("lichtblau3", INDUCED_ORDER): (3629, 3765, 262, 44, 362, 29, 8),
+    ("lichtblau3", WEIGHT_VECTOR): (3242, 3378, 262, 44, 362, 29, 8),
+    ("katsura-4", INDUCED_ORDER): (1117, 1168, 117, 11, 25, 9, 7),
+    ("katsura-4", WEIGHT_VECTOR): (1063, 1114, 117, 11, 25, 9, 7),
+    ("cyclic-4", INDUCED_ORDER): (236, 264, 27, 11, 34, 10, 7),
+    ("cyclic-4", WEIGHT_VECTOR): (178, 206, 27, 11, 34, 10, 7),
+}
+
+
+@pytest.mark.parametrize("system,kind", sorted(PINNED_COUNTS))
+def test_work_counts_pinned_under_every_label(system, kind):
+    # any change to pair selection, reducer probe order or the number of
+    # comparisons a call site makes moves these counts
+    spec = {"lichtblau3": lambda: load_bundled("lichtblau3"),
+            "katsura-4": lambda: katsura_system(4),
+            "cyclic-4": lambda: cyclic_system(4)}[system]()
+    field = PrimeField(32003)
+    for label in ORDER_LABELS:
+        order = order_factory(label)(spec.nvars)
+        res = buchberger(realize(spec, order, field),
+                         strategy=strategy_for(label, spec.nvars, kind))
+        red = reduce_basis(res.basis)
+        st = res.stats
+        got = (st.comparisons, order.comparisons, st.reduction_steps, st.pairs_processed,
+               st.pairs_skipped_by_criteria, len(res.basis), len(red))
+        assert got == PINNED_COUNTS[system, kind], label
 
 
 def test_abort_on_pair_budget():

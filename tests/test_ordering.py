@@ -143,6 +143,30 @@ def test_singular_matrix_detected():
     assert not subtotal_weight_matrix(5).is_singular()
 
 
+def test_singular_verdict_matches_inverse():
+    # is_singular eliminates fraction-free; inverse() is the Fraction reference
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7))) for _ in range(n)]
+                for _ in range(n)]
+        if n > 2 and rng.random() < 0.4:
+            # make row i a rational combination of rows j and k
+            i, j, k = rng.sample(range(n), 3)
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])]
+        w = WeightMatrix(rows)
+        try:
+            w.inverse()
+            want = False
+        except ValueError:
+            want = True
+        assert w.is_singular() == want, rows
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_matrix_text_round_trip():
     w = degrevlex_weight_matrix(5)
     again = WeightMatrix.from_text(w.to_text())

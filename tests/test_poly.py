@@ -2,11 +2,13 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbbench.modfield import PrimeField
-from gbbench.ordering import DegRevLexOrder, MatrixCachedOrder, subtotal_weight_matrix
+from gbbench.ordering import DegRevLexOrder, MatrixCachedOrder, SubtotalOrder, subtotal_weight_matrix
 from gbbench.poly import (
     PolyContext,
+    Reducers,
     TimeLimitExceeded,
     reduce,
     s_polynomial,
@@ -158,6 +160,73 @@ def test_reduce_to_zero_and_stats():
     assert stats.reduction_steps > 0
     with pytest.raises(ValueError):
         reduce(f, [ctx.zero()])
+
+
+def _random_poly(rng, ctx, terms, top):
+    n = ctx.nvars
+    return ctx.polynomial([(tuple(rng.randrange(0, top) for _ in range(n)), rng.randrange(1, 32003))
+                           for _ in range(terms)])
+
+
+def test_reduce_against_table_equals_reduce_against_list():
+    rng = random.Random(7)
+    for order in (DegRevLexOrder(3), MatrixCachedOrder(subtotal_weight_matrix(3))):
+        ctx = _ctx(3, order)
+        for _ in range(40):
+            G = [g for g in (_random_poly(rng, ctx, rng.randrange(1, 4), 3)
+                             for _ in range(rng.randrange(1, 5))) if not g.is_zero]
+            f = _random_poly(rng, ctx, rng.randrange(1, 8), 5)
+            table = Reducers(ctx, G)
+            s_list = type("Stats", (), {"reduction_steps": 0})()
+            s_table = type("Stats", (), {"reduction_steps": 0})()
+            want = reduce(f, G, stats=s_list)
+            assert reduce(f, table, stats=s_table) == want
+            # the table is reusable and unchanged by a reduction
+            assert reduce(f, table) == want
+            assert s_table.reduction_steps == s_list.reduction_steps
+            assert [e[3] for e in table.entries] == [g.terms for g in G]
+
+
+def test_reducers_reject_zero_and_foreign_polynomials():
+    ctx = _ctx(2, DegRevLexOrder(2))
+    other = _ctx(2, DegRevLexOrder(2))
+    g = ctx.polynomial([((1, 0), 3), ((0, 0), 1)])
+    foreign = other.polynomial([((1, 0), 1)])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        Reducers(ctx, [g, ctx.zero()])
+    with pytest.raises(ValueError, match="different contexts"):
+        Reducers(ctx, [foreign])
+    table = Reducers(ctx, [g])
+    with pytest.raises(ValueError, match="different contexts"):
+        table.insert(0, foreign)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        table.insert(1, ctx.zero())
+    assert len(table.entries) == 1
+    # an entry holds the leading handle, its mask, 1/lc and the terms
+    assert table.entries[0] == (g.terms[0][0], 0b01, ctx.field.inv(3), g.terms)
+    with pytest.raises(ValueError, match="different contexts"):
+        reduce(foreign, table)
+    with pytest.raises(ValueError, match="different contexts"):
+        reduce(foreign, [g])
+
+
+_EXPS = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.tuples(*[st.integers(0, 2)] * n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_EXPS)
+def test_mask_passes_every_divisor(pair):
+    # reduce skips a reducer whose mask has a bit the term's mask lacks; that
+    # must never skip a reducer that divides the term
+    a, b = pair
+    n = len(a)
+    for order in (SubtotalOrder(n), MatrixCachedOrder(subtotal_weight_matrix(n))):
+        table = Reducers(_ctx(n, order))
+        ha, hb = order.attach(a), order.attach(b)
+        assert table.mask(ha) == sum(1 << i for i, e in enumerate(a) if e)
+        if order.div(ha, hb) is not None:
+            assert table.mask(hb) & ~table.mask(ha) == 0
 
 
 def test_reduce_deadline_trips():
