@@ -372,19 +372,33 @@ def render_report(report: BenchmarkReport, fmt: str = "text") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+_MICROBENCH_BLOCK = 1000
+
+
+def _time_calls(cmp, pairs) -> float:
+    t0 = perf_counter()
+    for a, b in pairs:
+        cmp(a, b)
+    return perf_counter() - t0
+
+
 def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
                           max_exponent: int = 30, chunk: int = 100_000) -> dict:
     """Time cmp_subtotal against cmp_degrevlex on identical random pairs.
 
     Pairs are generated outside the timed regions in chunks (memory stays
     bounded); both comparators see exactly the same data, so the ratio
-    isolates the comparator bodies plus identical loop overhead.
+    isolates the comparator bodies plus identical loop overhead. The two are
+    timed in alternating sub-blocks of _MICROBENCH_BLOCK pairs whose lead
+    alternates too (degrevlex first, then subtotal first: ABBA), so a drift
+    in host speed weighs on both alike.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
     rng = random.Random(seed)
     t_deg = 0.0
     t_sub = 0.0
+    deg_first = True
     remaining = samples
     while remaining > 0:
         k = min(chunk, remaining)
@@ -394,14 +408,15 @@ def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
              tuple(rng.randint(0, max_exponent) for _ in range(n)))
             for _ in range(k)
         ]
-        t0 = perf_counter()
-        for a, b in pairs:
-            cmp_degrevlex(a, b)
-        t_deg += perf_counter() - t0
-        t0 = perf_counter()
-        for a, b in pairs:
-            cmp_subtotal(a, b)
-        t_sub += perf_counter() - t0
+        for lo in range(0, k, _MICROBENCH_BLOCK):
+            block = pairs[lo:lo + _MICROBENCH_BLOCK]
+            if deg_first:
+                t_deg += _time_calls(cmp_degrevlex, block)
+                t_sub += _time_calls(cmp_subtotal, block)
+            else:
+                t_sub += _time_calls(cmp_subtotal, block)
+                t_deg += _time_calls(cmp_degrevlex, block)
+            deg_first = not deg_first
     return {
         "n": n,
         "samples": samples,

@@ -14,7 +14,8 @@ import bisect
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
-from operator import mul
+from itertools import compress
+from operator import attrgetter, le, mul
 from time import perf_counter
 from typing import NamedTuple
 
@@ -35,7 +36,8 @@ class CriticalPair(NamedTuple):
     i: int
     j: int
     lcm_exps: tuple
-    key: tuple | None
+    lcm_mask: int
+    key: object  # selection key; None until an induced-order pick attaches it
 
 
 @dataclass
@@ -49,89 +51,117 @@ class GroebnerResult:
         return not self.aborted
 
 
-def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class LeadTable:
+    """Leading monomials of the partial basis, by basis index, three ways.
+
+    exps holds each exponent tuple, masks its one-bit-per-variable mask (bit
+    v set iff variable v occurs, as in poly.Reducers) and cols[v] the
+    exponents of variable v, so the Gebauer-Moeller update builds every
+    candidate lcm with one comprehension per variable and tests coprimality
+    and divisibility on masks before touching exponents.
+    """
+
+    __slots__ = ("bits", "exps", "masks", "cols")
+
+    def __init__(self, n: int):
+        self.bits = tuple(1 << v for v in range(n))
+        self.exps: list = []
+        self.masks: list = []
+        self.cols: list = [[] for _ in range(n)]
+
+    def mask(self, e) -> int:
+        return sum(compress(self.bits, e))
+
+    def append(self, e, mask: int) -> None:
+        self.exps.append(e)
+        self.masks.append(mask)
+        for col, x in zip(self.cols, e):
+            col.append(x)
 
 
-def _update(G, lm_exps, P, f, order, stats, pair_key) -> None:
-    """Add monic f to the partial basis and rework the pair set.
+def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
+    """Add the leading monomial eh of a new basis element and rework P.
 
     Candidate pairs (i, t) are grouped by lcm; only divisibility-minimal lcm
     classes survive (iterating by ascending degree guarantees divisors are
-    seen first), a class with a coprime member dies entirely, and each
-    surviving class contributes its least-index representative. Existing
-    pairs whose lcm is strictly dominated through the new leading monomial
-    are pruned.
+    seen first; two distinct lcms of one degree never divide each other), a
+    class with a coprime member dies entirely, and each surviving class
+    contributes its least-index representative. Existing pairs whose lcm is
+    strictly dominated through the new leading monomial are pruned. A mask
+    with a bit the other's mask lacks rules divisibility out before the
+    exponents are compared.
     """
-    t = len(G)
-    eh = order.exps(f.leading_monomial())
+    t = len(lead.exps)
+    exps = lead.exps
+    masks = lead.masks
+    mh = lead.mask(eh)
+    skipped = 0
 
     kept = []
     for pr in P:
         eL = pr.lcm_exps
-        if not _divides(eh, eL):
+        if mh & ~pr.lcm_mask or not all(map(le, eh, eL)):
             kept.append(pr)
-            continue
-        li = tuple(map(max, lm_exps[pr.i], eh))
-        lj = tuple(map(max, lm_exps[pr.j], eh))
-        if li == eL or lj == eL:
+        elif tuple(map(max, exps[pr.i], eh)) == eL or tuple(map(max, exps[pr.j], eh)) == eL:
             kept.append(pr)
         else:
-            stats.pairs_skipped_by_criteria += 1
+            skipped += 1
     P[:] = kept
 
     cand: dict = {}
-    for i in range(t):
-        e = tuple(map(max, lm_exps[i], eh))
-        cand.setdefault(e, []).append(i)
+    cols = [[x if x > c else c for x in col] for col, c in zip(lead.cols, eh)]
+    for i, e in enumerate(zip(*cols)):
+        idxs = cand.get(e)
+        if idxs is None:
+            cand[e] = [i]
+        else:
+            idxs.append(i)
 
     minimal: list = []
-    for e in sorted(cand, key=lambda e: (sum(e), e)):
+    for e in sorted(cand, key=sum):
         idxs = cand[e]
-        if any(_divides(m, e) for m in minimal):
-            stats.pairs_skipped_by_criteria += len(idxs)
-            continue
-        minimal.append(e)
-        coprime = False
-        for i in idxs:
-            ei = lm_exps[i]
-            if all(x == 0 or y == 0 for x, y in zip(ei, eh)):
-                coprime = True
+        i = idxs[0]
+        em = masks[i] | mh
+        for m, mm in minimal:
+            if not mm & ~em and all(map(le, m, e)):
+                skipped += len(idxs)
                 break
-        if coprime:
-            stats.pairs_skipped_by_criteria += len(idxs)
         else:
-            P.append(CriticalPair(min(idxs), t, e, pair_key(e) if pair_key else None))
-            stats.pairs_skipped_by_criteria += len(idxs) - 1
+            minimal.append((e, em))
+            if any(not masks[k] & mh for k in idxs):
+                skipped += len(idxs)
+            else:
+                P.append(CriticalPair(i, t, e, em, (pair_key(e), i, t) if pair_key else None))
+                skipped += len(idxs) - 1
 
-    G.append(f)
-    lm_exps.append(eh)
+    stats.pairs_skipped_by_criteria += skipped
+    lead.append(eh, mh)
 
 
 def _select_index(P, order, pair_key) -> int:
     """Index of the preferred pair; ties broken by (i, j) for determinism."""
-    best = 0
     if pair_key is not None:
-        bk = (P[0].key, P[0].i, P[0].j)
-        for idx in range(1, len(P)):
-            pr = P[idx]
-            k = (pr.key, pr.i, pr.j)
-            if k < bk:
-                best = idx
-                bk = k
-    else:
-        cmp = order.cmp
-        hb = order.attach(P[0].lcm_exps)
-        for idx in range(1, len(P)):
-            pr = P[idx]
-            h = order.attach(pr.lcm_exps)
-            c = cmp(h, hb)
-            if c < 0 or (c == 0 and (pr.i, pr.j) < (P[best].i, P[best].j)):
-                best = idx
-                hb = h
+        # the key is (weight vector, i, j)
+        return P.index(min(P, key=attrgetter("key")))
+    # _update appends and prunes without reordering, so the pairs made since
+    # the last pick sit unkeyed at the end of P; attaching them here, not when
+    # made, attaches only lcms a pick sees (matvec_products as before)
+    attach = order.attach
+    idx = len(P) - 1
+    while idx >= 0 and P[idx].key is None:
+        P[idx] = P[idx]._replace(key=attach(P[idx].lcm_exps))
+        idx -= 1
+    cmp = order.cmp
+    best = 0
+    pb = P[0]
+    hb = pb.key
+    for idx in range(1, len(P)):
+        pr = P[idx]
+        c = cmp(pr.key, hb)
+        if c < 0 or (c == 0 and (pr.i, pr.j) < (pb.i, pb.j)):
+            best = idx
+            pb = pr
+            hb = pr.key
     return best
 
 
@@ -175,7 +205,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
     pair_key = strategy.weight_vector if strategy is not None else None
 
     G: list = []
-    lm_exps: list = []
+    lead = LeadTable(ctx.nvars)
     P: list = []
 
     # reducers: G resorted ascending by the strategy's preference, so the
@@ -183,9 +213,13 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
     reducers = Reducers(ctx)
     red_keys: list = []
 
-    def insert_reducer(g: Polynomial, gi: int) -> None:
+    def add(g: Polynomial) -> None:
+        # new pairs against the current G first, then g joins G and the reducers
+        eg = order.exps(g.leading_monomial())
+        _update(lead, P, eg, stats, pair_key)
+        G.append(g)
         if pair_key is not None:
-            k = (pair_key(order.exps(g.leading_monomial())), gi)
+            k = (pair_key(eg), len(G) - 1)
             at = bisect.bisect_left(red_keys, k)
             red_keys.insert(at, k)
         else:
@@ -202,9 +236,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
     basis = None
     try:
         for f in F:
-            fm = f.monic()
-            _update(G, lm_exps, P, fm, order, stats, pair_key)
-            insert_reducer(fm, len(G) - 1)
+            add(f.monic())
         while P:
             if max_pairs is not None and stats.pairs_processed >= max_pairs:
                 raise TimeLimitExceeded
@@ -215,9 +247,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
             stats.pairs_processed += 1
             r = reduce(s, reducers, deadline=deadline, stats=stats)
             if not r.is_zero:
-                rm = r.monic()
-                _update(G, lm_exps, P, rm, order, stats, pair_key)
-                insert_reducer(rm, len(G) - 1)
+                add(r.monic())
         basis = list(G)
     except TimeLimitExceeded:
         aborted = True
@@ -240,10 +270,12 @@ def reduce_basis(G) -> list:
     by_lm = cmp_to_key(lambda f, g: order.cmp(f.leading_monomial(), g.leading_monomial()))
     G_sorted = sorted(G, key=by_lm)
     minimal: list = []
+    minimal_exps: list = []
     for g in G_sorted:
         e = order.exps(g.leading_monomial())
-        if not any(_divides(order.exps(m.leading_monomial()), e) for m in minimal):
+        if not any(all(map(le, m, e)) for m in minimal_exps):
             minimal.append(g)
+            minimal_exps.append(e)
     # one table for every element: each term below lm(g) is smaller than
     # lm(g), so none is divisible by it and g never fires on its own tail
     table = Reducers(ctx, minimal)

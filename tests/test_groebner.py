@@ -1,12 +1,17 @@
+from collections import namedtuple
 from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbbench.bench import INDUCED_ORDER, ORDER_LABELS, WEIGHT_VECTOR, order_factory, strategy_for
 from gbbench.corpus import cyclic_system, katsura_system, load_bundled, realize
 from gbbench.groebner import (
     EngineStats,
+    LeadTable,
+    _select_index,
+    _update,
     audit_cached_weights,
     buchberger,
     reduce_basis,
@@ -161,6 +166,8 @@ PINNED_COUNTS = {
     ("katsura-4", WEIGHT_VECTOR): (1063, 1114, 117, 11, 25, 9, 7),
     ("cyclic-4", INDUCED_ORDER): (236, 264, 27, 11, 34, 10, 7),
     ("cyclic-4", WEIGHT_VECTOR): (178, 206, 27, 11, 34, 10, 7),
+    ("lichtblau1", INDUCED_ORDER): (124739, 126221, 1174, 1212, 31173, 255, 239),
+    ("lichtblau1", WEIGHT_VECTOR): (2339, 3821, 1174, 1212, 31173, 255, 239),
 }
 
 
@@ -168,7 +175,8 @@ PINNED_COUNTS = {
 def test_work_counts_pinned_under_every_label(system, kind):
     # any change to pair selection, reducer probe order or the number of
     # comparisons a call site makes moves these counts
-    spec = {"lichtblau3": lambda: load_bundled("lichtblau3"),
+    spec = {"lichtblau1": lambda: load_bundled("lichtblau1"),
+            "lichtblau3": lambda: load_bundled("lichtblau3"),
             "katsura-4": lambda: katsura_system(4),
             "cyclic-4": lambda: cyclic_system(4)}[system]()
     field = PrimeField(32003)
@@ -181,6 +189,92 @@ def test_work_counts_pinned_under_every_label(system, kind):
         got = (st.comparisons, order.comparisons, st.reduction_steps, st.pairs_processed,
                st.pairs_skipped_by_criteria, len(res.basis), len(red))
         assert got == PINNED_COUNTS[system, kind], label
+
+
+_OraclePair = namedtuple("_OraclePair", "i j lcm_exps key")
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _update_oracle(lm_exps, P, eh, stats, pair_key):
+    # the straightforward Gebauer-Moeller update: exponent tuples only, one
+    # max-lcm per candidate, classes taken by (degree, exponents)
+    t = len(lm_exps)
+    kept = []
+    for pr in P:
+        eL = pr.lcm_exps
+        if not _divides(eh, eL):
+            kept.append(pr)
+            continue
+        li = tuple(map(max, lm_exps[pr.i], eh))
+        lj = tuple(map(max, lm_exps[pr.j], eh))
+        if li == eL or lj == eL:
+            kept.append(pr)
+        else:
+            stats.pairs_skipped_by_criteria += 1
+    P[:] = kept
+    cand = {}
+    for i in range(t):
+        cand.setdefault(tuple(map(max, lm_exps[i], eh)), []).append(i)
+    minimal = []
+    for e in sorted(cand, key=lambda e: (sum(e), e)):
+        idxs = cand[e]
+        if any(_divides(m, e) for m in minimal):
+            stats.pairs_skipped_by_criteria += len(idxs)
+            continue
+        minimal.append(e)
+        if any(all(x == 0 or y == 0 for x, y in zip(lm_exps[i], eh)) for i in idxs):
+            stats.pairs_skipped_by_criteria += len(idxs)
+        else:
+            P.append(_OraclePair(min(idxs), t, e, pair_key(e) if pair_key else None))
+            stats.pairs_skipped_by_criteria += len(idxs) - 1
+    lm_exps.append(eh)
+
+
+def _select_oracle(P, order, pair_key):
+    if pair_key is not None:
+        return min(range(len(P)), key=lambda k: (P[k].key, P[k].i, P[k].j))
+    best = 0
+    hb = order.attach(P[0].lcm_exps)
+    for k in range(1, len(P)):
+        h = order.attach(P[k].lcm_exps)
+        c = order.cmp(h, hb)
+        if c < 0 or (c == 0 and (P[k].i, P[k].j) < (P[best].i, P[best].j)):
+            best = k
+            hb = h
+    return best
+
+
+# leading-monomial runs in 1 to 9 variables, mostly zero exponents so that
+# coprime members, chain-dominated classes and pruned pairs all occur; the
+# flag says whether a pair is picked (and removed) after the update
+_LEAD_RUNS = st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[st.sampled_from((0, 0, 0, 1, 1, 2, 3))] * n), st.booleans()),
+    min_size=1, max_size=14))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_LEAD_RUNS, st.booleans(), st.booleans())
+def test_update_matches_straightforward_oracle(run, cached, weighted):
+    n = len(run[0][0])
+    order = MatrixCachedOrder(subtotal_weight_matrix(n)) if cached else DegRevLexOrder(n)
+    pair_key = degrevlex_weight_matrix(n).weight_vector if weighted else None
+    lead, P, got = LeadTable(n), [], EngineStats()
+    lm_exps, Q, want = [], [], EngineStats()
+    for eh, pick in run:
+        _update(lead, P, eh, got, pair_key)
+        _update_oracle(lm_exps, Q, eh, want, pair_key)
+        assert sorted(pr[:3] for pr in P) == sorted(pr[:3] for pr in Q)
+        assert got.pairs_skipped_by_criteria == want.pairs_skipped_by_criteria
+        if pick and P:
+            before = order.comparisons
+            a = P.pop(_select_index(P, order, pair_key))
+            made = order.comparisons - before
+            b = Q.pop(_select_oracle(Q, order, pair_key))
+            assert a[:3] == b[:3]
+            assert made == (0 if weighted else len(Q))
 
 
 def test_abort_on_pair_budget():
