@@ -10,7 +10,7 @@ criterion), and existing pairs made redundant by the new element are pruned.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
@@ -37,7 +37,7 @@ class CriticalPair(NamedTuple):
     j: int
     lcm_exps: tuple
     lcm_mask: int
-    key: object  # selection key; None until an induced-order pick attaches it
+    key: object  # selection key (see _selection_keys); None until the next pick
 
 
 @dataclass
@@ -79,7 +79,7 @@ class LeadTable:
             col.append(x)
 
 
-def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
+def _update(lead: LeadTable, P, eh, stats) -> None:
     """Add the leading monomial eh of a new basis element and rework P.
 
     Candidate pairs (i, t) are grouped by lcm; only divisibility-minimal lcm
@@ -89,7 +89,8 @@ def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
     contributes its least-index representative. Existing pairs whose lcm is
     strictly dominated through the new leading monomial are pruned. A mask
     with a bit the other's mask lacks rules divisibility out before the
-    exponents are compared.
+    exponents are compared. Pruning keeps P's order; new pairs are appended
+    unkeyed for _pop_pair to sort in.
     """
     t = len(lead.exps)
     exps = lead.exps
@@ -131,38 +132,56 @@ def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
             if any(not masks[k] & mh for k in idxs):
                 skipped += len(idxs)
             else:
-                P.append(CriticalPair(i, t, e, em, (pair_key(e), i, t) if pair_key else None))
+                P.append(CriticalPair(i, t, e, em, None))
                 skipped += len(idxs) - 1
 
     stats.pairs_skipped_by_criteria += skipped
     lead.append(eh, mh)
 
 
-def _select_index(P, order, pair_key) -> int:
-    """Index of the preferred pair; ties broken by (i, j) for determinism."""
-    if pair_key is not None:
-        # the key is (weight vector, i, j)
-        return P.index(min(P, key=attrgetter("key")))
-    # _update appends and prunes without reordering, so the pairs made since
-    # the last pick sit unkeyed at the end of P; attaching them here, not when
-    # made, attaches only lcms a pick sees (matvec_products as before)
-    attach = order.attach
-    idx = len(P) - 1
-    while idx >= 0 and P[idx].key is None:
-        P[idx] = P[idx]._replace(key=attach(P[idx].lcm_exps))
-        idx -= 1
+def _selection_keys(order, strategy: WeightMatrix | None) -> tuple:
+    """Sort keys of the pair queue and of the reducer table, as a pair of
+    functions: pair_key(pair) and reducer_key(lm handle, lm exps, index).
+
+    Under a selection matrix the keys are plain tuples: (weight vector of the
+    lcm, i, j) and (weight vector of the leading monomial, basis index).
+    Under the run's own order (strategy None) they wrap (handle, indices) in
+    a cmp_to_key object over order.cmp, so each probe of a binary search is
+    one cmp call, with ties broken by the indices. Keys are unique either
+    way, so a reducer lands after any with an equal leading monomial.
+    """
+    if strategy is not None:
+        wv = strategy.weight_vector
+        return (lambda pr: (wv(pr.lcm_exps), pr.i, pr.j),
+                lambda h, e, idx: (wv(e), idx))
     cmp = order.cmp
-    best = 0
-    pb = P[0]
-    hb = pb.key
-    for idx in range(1, len(P)):
-        pr = P[idx]
-        c = cmp(pr.key, hb)
-        if c < 0 or (c == 0 and (pr.i, pr.j) < (pb.i, pb.j)):
-            best = idx
-            pb = pr
-            hb = pr.key
-    return best
+    attach = order.attach
+
+    def by_order(a, b):
+        return cmp(a[0], b[0]) or (-1 if a[1:] < b[1:] else 1)
+
+    K = cmp_to_key(by_order)
+    return (lambda pr: K((attach(pr.lcm_exps), pr.i, pr.j)),
+            lambda h, e, idx: K((h, idx)))
+
+
+def _pop_pair(P, pair_key) -> CriticalPair:
+    """Remove and return the preferred pair, the one with the least key.
+
+    P is sorted ascending by key except for the pairs _update appended since
+    the last pick, which sit unkeyed at its end. They are keyed here, not
+    when made, so only lcms a pick sees are attached (matvec_products as
+    before), and each goes in by binary search: about log2 |P| comparisons
+    per new pair, none for the pick itself.
+    """
+    k = len(P)
+    while k and P[k - 1].key is None:
+        k -= 1
+    fresh = P[k:]
+    del P[k:]
+    for pr in fresh:
+        insort(P, pr._replace(key=pair_key(pr)), key=attrgetter("key"))
+    return P.pop(0)
 
 
 def buchberger(F, *, strategy: WeightMatrix | None = None,
@@ -173,7 +192,10 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
     The next critical pair is the one whose lcm is smallest: under the run's
     own order when strategy is None, else by the lcm's weight vector under
     the strategy matrix, compared lexicographically (ties fall back to pair
-    indices either way). The same preference orders the reducers.
+    indices either way). The same preference orders the reducers. Both the
+    pair queue and the reducer table stay sorted by that preference, and an
+    entry goes in by binary search; under the run's own order every probe
+    is one call of the order's cmp.
 
     Returns GroebnerResult(basis, stats, aborted). When a limit trips, the
     result has aborted=True and basis=None, with the stats gathered so far;
@@ -202,7 +224,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
     stats = EngineStats()
     start = perf_counter()
     deadline = start + max_seconds if max_seconds is not None else None
-    pair_key = strategy.weight_vector if strategy is not None else None
+    pair_key, reducer_key = _selection_keys(order, strategy)
 
     G: list = []
     lead = LeadTable(ctx.nvars)
@@ -215,21 +237,13 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
 
     def add(g: Polynomial) -> None:
         # new pairs against the current G first, then g joins G and the reducers
-        eg = order.exps(g.leading_monomial())
-        _update(lead, P, eg, stats, pair_key)
+        h = g.leading_monomial()
+        eg = order.exps(h)
+        _update(lead, P, eg, stats)
+        k = reducer_key(h, eg, len(G))
         G.append(g)
-        if pair_key is not None:
-            k = (pair_key(eg), len(G) - 1)
-            at = bisect.bisect_left(red_keys, k)
-            red_keys.insert(at, k)
-        else:
-            lm = g.leading_monomial()
-            cmp = order.cmp
-            at = len(reducers.entries)
-            for idx, entry in enumerate(reducers.entries):
-                if cmp(lm, entry[0]) < 0:
-                    at = idx
-                    break
+        at = bisect_right(red_keys, k)
+        red_keys.insert(at, k)
         reducers.insert(at, g)
 
     aborted = False
@@ -242,7 +256,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
                 raise TimeLimitExceeded
             if deadline is not None and perf_counter() > deadline:
                 raise TimeLimitExceeded
-            pr = P.pop(_select_index(P, order, pair_key))
+            pr = _pop_pair(P, pair_key)
             s = s_polynomial(G[pr.i], G[pr.j])
             stats.pairs_processed += 1
             r = reduce(s, reducers, deadline=deadline, stats=stats)

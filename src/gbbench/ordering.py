@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, product
 from math import lcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, mul as _mul, sub as _sub
 
 LESS = -1
 EQUAL = 0
@@ -109,7 +109,7 @@ class WeightMatrix:
         if len(a) != self.n:
             raise ValueError(f"exponent vector of length {len(a)} against {self.n}x{self.n} matrix")
         rows = self.int_rows if self.int_rows is not None else self.rows
-        return tuple(sum(w * x for w, x in zip(row, a) if w) for row in rows)
+        return tuple([sum(map(_mul, row, a)) for row in rows])
 
     def __matmul__(self, other) -> "WeightMatrix":
         if not isinstance(other, WeightMatrix):

@@ -1,16 +1,21 @@
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import asdict
 from fractions import Fraction
+from math import ceil, log2
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbbench import groebner
 from gbbench.bench import INDUCED_ORDER, ORDER_LABELS, WEIGHT_VECTOR, order_factory, strategy_for
-from gbbench.corpus import cyclic_system, katsura_system, load_bundled, realize
+from gbbench.corpus import cyclic_system, katsura_system, load_bundled, parse_system, realize
 from gbbench.groebner import (
     EngineStats,
     LeadTable,
-    _select_index,
+    _pop_pair,
+    _selection_keys,
     _update,
     audit_cached_weights,
     buchberger,
@@ -30,6 +35,8 @@ from gbbench.ordering import (
     subtotal_weight_matrix,
 )
 from gbbench.poly import PolyContext, TimeLimitExceeded
+
+DATA = Path(__file__).parent / "data"
 
 
 def _ctx(n, order=None):
@@ -160,13 +167,13 @@ def test_equivalent_orders_agree_on_traces():
 # pairs_processed, pairs_skipped, |basis|, |reduced basis|), the same under
 # every roster label
 PINNED_COUNTS = {
-    ("lichtblau3", INDUCED_ORDER): (3629, 3765, 262, 44, 362, 29, 8),
+    ("lichtblau3", INDUCED_ORDER): (3458, 3594, 262, 44, 362, 29, 8),
     ("lichtblau3", WEIGHT_VECTOR): (3242, 3378, 262, 44, 362, 29, 8),
-    ("katsura-4", INDUCED_ORDER): (1117, 1168, 117, 11, 25, 9, 7),
+    ("katsura-4", INDUCED_ORDER): (1101, 1152, 117, 11, 25, 9, 7),
     ("katsura-4", WEIGHT_VECTOR): (1063, 1114, 117, 11, 25, 9, 7),
-    ("cyclic-4", INDUCED_ORDER): (236, 264, 27, 11, 34, 10, 7),
+    ("cyclic-4", INDUCED_ORDER): (213, 241, 27, 11, 34, 10, 7),
     ("cyclic-4", WEIGHT_VECTOR): (178, 206, 27, 11, 34, 10, 7),
-    ("lichtblau1", INDUCED_ORDER): (124739, 126221, 1174, 1212, 31173, 255, 239),
+    ("lichtblau1", INDUCED_ORDER): (11881, 13363, 1174, 1212, 31173, 255, 239),
     ("lichtblau1", WEIGHT_VECTOR): (2339, 3821, 1174, 1212, 31173, 255, 239),
 }
 
@@ -260,21 +267,107 @@ _LEAD_RUNS = st.integers(1, 9).flatmap(lambda n: st.lists(
 def test_update_matches_straightforward_oracle(run, cached, weighted):
     n = len(run[0][0])
     order = MatrixCachedOrder(subtotal_weight_matrix(n)) if cached else DegRevLexOrder(n)
-    pair_key = degrevlex_weight_matrix(n).weight_vector if weighted else None
+    strategy = degrevlex_weight_matrix(n) if weighted else None
+    pair_key = strategy.weight_vector if weighted else None
+    keys = _selection_keys(order, strategy)[0]
     lead, P, got = LeadTable(n), [], EngineStats()
     lm_exps, Q, want = [], [], EngineStats()
     for eh, pick in run:
-        _update(lead, P, eh, got, pair_key)
+        _update(lead, P, eh, got)
         _update_oracle(lm_exps, Q, eh, want, pair_key)
         assert sorted(pr[:3] for pr in P) == sorted(pr[:3] for pr in Q)
         assert got.pairs_skipped_by_criteria == want.pairs_skipped_by_criteria
         if pick and P:
+            fresh = sum(pr.key is None for pr in P)
             before = order.comparisons
-            a = P.pop(_select_index(P, order, pair_key))
+            a = _pop_pair(P, keys)
             made = order.comparisons - before
             b = Q.pop(_select_oracle(Q, order, pair_key))
             assert a[:3] == b[:3]
-            assert made == (0 if weighted else len(Q))
+            if weighted:
+                assert made == 0
+            else:
+                # each new pair goes into a sorted queue of at most |P| pairs
+                assert made <= fresh * ceil(log2(len(P) + 1))
+
+
+# leading monomials in 1 to 4 variables with small exponents, so that equal
+# leading monomials are common
+_LEAD_LISTS = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=20))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_LEAD_LISTS, st.booleans())
+def test_reducer_slot_equals_linear_scan(lms, cached):
+    # buchberger's binary search for a new reducer's slot against a linear
+    # scan for the first entry whose leading monomial is greater
+    n = len(lms[0])
+    order = MatrixCachedOrder(subtotal_weight_matrix(n)) if cached else DegRevLexOrder(n)
+    reducer_key = _selection_keys(order, None)[1]
+    keys, scanned = [], []
+    for idx, e in enumerate(lms):
+        h = order.attach(e)
+        k = reducer_key(h, e, idx)
+        before = order.comparisons
+        at = bisect_right(keys, k)
+        assert order.comparisons - before <= ceil(log2(len(keys) + 1))
+        keys.insert(at, k)
+        scan = next((s for s, g in enumerate(scanned) if order.cmp(h, g) < 0), len(scanned))
+        scanned.insert(scan, h)
+        assert at == scan
+
+
+def _cyclic3_with_repeated_leads(order):
+    # cyclic-3 plus three members of its ideal whose leading monomials repeat
+    # the generators' x1*x2, x1*x2*x3 and x1, so three reducer insertions
+    # meet an equal leading monomial
+    ctx = PolyContext(3, PrimeField(32003), order)
+    x, y, z, one = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    return [ctx.polynomial(t) for t in (
+        [(x, 1), (y, 1), (z, 1)],
+        [((1, 1, 0), 1), ((0, 1, 1), 1), ((1, 0, 1), 1)],
+        [((1, 1, 1), 1), (one, -1)],
+        [((1, 1, 0), 1), ((0, 1, 1), 2), ((1, 0, 1), 2), ((0, 0, 2), 1)],  # f2 + x3 * f1
+        [((1, 1, 1), 1), (x, 1), (y, 1), (z, 1), (one, -1)],  # f3 + f1
+        [(x, 3), (y, 3), (z, 3)],  # 3 * f1
+    )]
+
+
+# PINNED_COUNTS' fields for _cyclic3_with_repeated_leads, the same under
+# every roster label
+REPEATED_LEAD_COUNTS = {
+    INDUCED_ORDER: (68, 86, 7, 5, 23, 8, 3),
+    WEIGHT_VECTOR: (45, 63, 7, 5, 23, 8, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_LEAD_COUNTS))
+def test_repeated_leading_monomials_match_the_scan(kind, monkeypatch):
+    golden = parse_system((DATA / "cyclic3_grevlex_gb.txt").read_text())
+    want_red = _canon(realize(golden, DegRevLexOrder(3), PrimeField(32003)))
+
+    def run(label):
+        order = order_factory(label)(3)
+        res = buchberger(_cyclic3_with_repeated_leads(order),
+                         strategy=strategy_for(label, 3, kind))
+        red = reduce_basis(res.basis)
+        st = res.stats
+        counts = (st.comparisons, order.comparisons, st.reduction_steps, st.pairs_processed,
+                  st.pairs_skipped_by_criteria, len(res.basis), len(red))
+        return counts, [p.as_tuples() for p in res.basis], _canon(red)
+
+    for label in ORDER_LABELS:
+        counts, basis, red = run(label)
+        assert counts == REPEATED_LEAD_COUNTS[kind], label
+        assert red == want_red, label
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "bisect_right", lambda keys, k: next(
+                (s for s, key in enumerate(keys) if k < key), len(keys)))
+            scan_counts, scan_basis, scan_red = run(label)
+        # same reducer probe order, so the same basis and work, by a linear scan
+        assert scan_basis == basis and scan_red == red, label
+        assert scan_counts[2:] == counts[2:], label
 
 
 def test_abort_on_pair_budget():
@@ -363,12 +456,15 @@ def test_reorder_variables_by_occurrence():
 
 
 def test_audit_cached_weights_clean_run():
-    order = MatrixCachedOrder(subtotal_weight_matrix(4))
-    polys = realize(cyclic_system(4), order, PrimeField(32003))
-    res = buchberger(polys)
-    red = reduce_basis(res.basis)
-    assert audit_cached_weights(res.basis) == []
-    assert audit_cached_weights(red) == []
+    for spec in (cyclic_system(4), katsura_system(4), load_bundled("lichtblau3")):
+        for label in ("grevlex-matrix", "subtotal-matrix"):
+            for kind in (INDUCED_ORDER, WEIGHT_VECTOR):
+                order = order_factory(label)(spec.nvars)
+                res = buchberger(realize(spec, order, PrimeField(32003)),
+                                 strategy=strategy_for(label, spec.nvars, kind))
+                red = reduce_basis(res.basis)
+                assert audit_cached_weights(res.basis) == [], (spec.name, label, kind)
+                assert audit_cached_weights(red) == [], (spec.name, label, kind)
 
 
 def test_audit_cached_weights_flags_corruption():

@@ -126,6 +126,32 @@ def test_weight_vector_prefix_sums():
     assert w.weight_vector(a) == (8, 7, 2)
 
 
+def _weight_vector_generator_form(w, a):
+    # the earlier body: a generator per row that skips zero weights
+    rows = w.int_rows if w.int_rows is not None else w.rows
+    return tuple(sum(x * y for x, y in zip(row, a) if x) for row in rows)
+
+
+def test_weight_vector_equals_generator_form():
+    rng = random.Random(5)
+    half = WeightMatrix([(1, 1, 1, 1), (Fraction(1, 2), 0, Fraction(-3, 4), 0),
+                         (0, 1, 0, 0), (0, 0, Fraction(2, 3), 1)])
+    assert half.int_rows is None
+    zeros = WeightMatrix([(1, 0, 2, 0), (0, 0, 0, 3), (0, 1, 0, 0), (0, 0, -1, 0)])
+    assert zeros.int_rows is not None
+    matrices = [half, zeros]
+    for n in (1, 2, 5, 9):
+        matrices += [subtotal_weight_matrix(n), degrevlex_weight_matrix(n)]
+    for w in matrices:
+        for _ in range(200):
+            a = tuple(rng.choice((0, 0, 1, 2, 7, 40)) for _ in range(w.n))
+            got = w.weight_vector(a)
+            assert got == _weight_vector_generator_form(w, a), (w, a)
+            assert type(got) is tuple and len(got) == w.n
+        with pytest.raises(ValueError):
+            w.weight_vector((0,) * (w.n + 1))
+
+
 def test_matrix_matmul_and_inverse():
     w = subtotal_weight_matrix(4)
     ident = identity_weight_matrix(4)
