@@ -30,6 +30,7 @@ from .groebner import (
     buchberger,
     reduce_basis,
     reorder_variables,
+    verify_failure,
     verify_groebner,
 )
 from .corpus import (

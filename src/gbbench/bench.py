@@ -26,7 +26,7 @@ from .groebner import (
     buchberger,
     reduce_basis,
     reorder_variables,
-    verify_groebner,
+    verify_failure,
 )
 from .modfield import PrimeField
 from .ordering import (
@@ -464,6 +464,7 @@ class RobustnessResult:
     verified: bool | None
     audits_clean: bool | None
     basis_size: int | None
+    failure: tuple | None = None  # verify_failure's answer when verified is False
 
     @property
     def ok(self) -> bool:
@@ -482,7 +483,8 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = 32003,
     Checks that all completed runs yield the identical reduced basis (term for
     term, as exponent/coefficient tuples), that cached weight vectors audit
     clean, and optionally that the basis passes the criterion-free
-    verify_groebner against the inputs.
+    verify_groebner against the inputs; when it does not, failure names the
+    first failing S-pair or input (see verify_failure).
     """
     field_ = PrimeField(modulus)
     completed = []
@@ -491,6 +493,7 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = 32003,
     bases_match: bool | None = None
     audits_clean: bool | None = None
     verified: bool | None = None
+    failure = None
     basis_size = None
     saved = None
     for label in orders:
@@ -520,6 +523,7 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = 32003,
                 bases_match = False
     if verify and saved is not None:
         polys, red = saved
-        verified = verify_groebner(red, polys)
+        failure = verify_failure(red, polys)
+        verified = failure is None
     return RobustnessResult(spec.name, completed, aborted, bases_match, verified,
-                            audits_clean, basis_size)
+                            audits_clean, basis_size, failure)

@@ -150,7 +150,9 @@ def cmd_verify(args, parser) -> int:
         else:
             parts.append("bases=identical")
         if res.verified is False:
-            parts.append("verified=NO")
+            a, b = res.failure
+            where = f"input {b}" if a == "input" else f"S-pair {a},{b}"
+            parts.append(f"verified=NO ({where})")
             ok = False
         elif res.verified:
             parts.append("verified=yes")

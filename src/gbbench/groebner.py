@@ -307,16 +307,26 @@ _PROBE_STRIDE = 4096
 def _packed_layout(order, G, F):
     """Bit layout for the integer-packed verifier.
 
-    Monomials and their weight vectors under order.matrix pack into single
-    big integers, one field per component (most significant first), so the
-    inner loop is pure integer arithmetic and lexicographic weight comparison
-    becomes numeric comparison. Safe only when the matrix is integer and
-    degree-first (first row all ones): then every monomial met during
+    A monomial packs into one integer with one field per variable, and its
+    key into one with one field per row of order.matrix, most significant
+    first, every field width bits wide. Safe only when the matrix is integer
+    and degree-first (first row all ones): then every monomial met during
     top-reduction has degree at most that of the seed, which bounds every
-    field; any other order raises ValueError. The packed key is linear in the
-    exponents, key(e) = bias + sum(e_i * K_i) with K_i the packed column i.
-    Returns (pack_key, pack_exps, mtop) where mtop masks the per-field guard
-    bits of the divisibility test.
+    field; any other order raises ValueError. Returns
+    (pack_key, pack_exps, pack_lcm, mtop, ones):
+
+    - pack_key(e) = mtop + sum(e_i * K_i), K_i the packed column i. It is
+      linear in the exponents, so key(a * b) = key(a) + key(b) - mtop, and
+      numeric order of keys is the lexicographic order of weight vectors.
+    - pack_exps(e) packs the exponents themselves.
+    - mtop holds each field's guard bit, the bias 2**(width - 1). For packed
+      exponents a and b, (a - b + mtop) & mtop keeps the guard bit of every
+      field where b's exponent is at most a's, so b divides a iff it equals
+      mtop.
+    - pack_lcm(a, b) takes each field from a or b by that guard-bit test.
+    - ones holds bias - 1 in every field, so (a + ones) & mtop keeps the
+      guard bit of every field where a's exponent is nonzero: the support
+      mask of a, in two integer operations.
     """
     rows = order.matrix.int_rows
     if rows is None or any(v != 1 for v in rows[0]):
@@ -336,6 +346,7 @@ def _packed_layout(order, G, F):
     cols = [sum(row[i] << s for row, s in zip(rows, shifts)) for i in range(n)]
     # every field carries the same bias, so the key's bias is the guard mask
     mtop = sum(bias << s for s in shifts)
+    ones = sum((bias - 1) << s for s in shifts)
 
     def pack_key(e) -> int:
         return mtop + sum(map(mul, e, cols))
@@ -346,10 +357,18 @@ def _packed_layout(order, G, F):
             acc = (acc << width) | v
         return acc
 
-    return pack_key, pack_exps, mtop
+    def pack_lcm(a: int, b: int) -> int:
+        # bias - 1 in the fields where b's exponent is at least a's
+        fm = (((b - a + mtop) & mtop) >> (width - 1)) * (bias - 1)
+        return (b & fm) | (a & ~fm)
+
+    return pack_key, pack_exps, pack_lcm, mtop, ones
 
 
-def _packed_basis(G, pack_key, pack_exps):
+def _packed_basis(G, pack_key, pack_exps, mtop, ones):
+    """Each element as (support mask of its leading monomial, (packed leading
+    exponents, inverse leading coefficient, tail)); a tail term is (key
+    offset, exponent offset, coefficient) from the leading monomial."""
     inv = G[0].context.field.inv
     prepped = []
     for g in G:
@@ -359,19 +378,29 @@ def _packed_basis(G, pack_key, pack_exps):
         lm_ep = pack_exps(lm_e)
         tail = [(pack_key(e) - lm_k, pack_exps(e) - lm_ep, c)
                 for e, c in terms[1:]]
-        prepped.append((lm_ep, inv(lm_c), tail))
+        prepped.append(((lm_ep + ones) & mtop, (lm_ep, inv(lm_c), tail)))
     return prepped
 
 
-def _sinks_packed(seed, prepped, p, mtop, deadline) -> bool:
+def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
     """Top-reduce the seed against the prepped basis; True iff it vanishes.
 
-    Pending terms live in acc (packed key -> [coeff, packed exps]) with a heap
-    of negated keys for max-first extraction; coefficients coalesce in the
-    dict, so each distinct pending monomial sits in the heap once. The
-    divisibility probe is the usual guard-bit trick: after adding the per-field
-    bias, a subtraction leaves every guard bit set exactly when no field went
-    negative.
+    Seed terms are (key, packed exps, coeff). A key need only be injective
+    and ordered like the monomials, so a seed may be keyed relative to any
+    fixed monomial: an S-pair's seed is keyed relative to its lcm, and every
+    key the reduction derives stays shifted by the same amount.
+
+    Pending terms live in acc (key -> [coeff, packed exps]) with a heap of
+    negated keys for max-first extraction; coefficients coalesce in the
+    dict, so each distinct pending monomial sits in the heap once.
+
+    The divisor of a term is the first element of prepped that divides it.
+    Only an element whose leading support lies inside the term's support can
+    divide it, so the probe runs over cands[support mask of the term]: the
+    elements whose mask has no guard bit the term's lacks, in prepped order,
+    listed the first time a mask is met. The first divisor found is the one
+    a probe over all of prepped would find. Each candidate gets the exact
+    guard-bit test (see _packed_layout).
     """
     acc: dict = {}
     heap = []
@@ -390,7 +419,11 @@ def _sinks_packed(seed, prepped, p, mtop, deadline) -> bool:
         c %= p
         if not c:
             continue
-        for lm_ep, inv_lc, tail in prepped:
+        s = (e + ones) & mtop
+        probe = cands.get(s)
+        if probe is None:
+            probe = cands[s] = [r for sg, r in prepped if not sg & ~s]
+        for lm_ep, inv_lc, tail in probe:
             if (e - lm_ep + mtop) & mtop == mtop:
                 break
         else:
@@ -413,6 +446,52 @@ def _sinks_packed(seed, prepped, p, mtop, deadline) -> bool:
     return True
 
 
+def verify_failure(G, F=None, *, max_seconds: float | None = None) -> tuple | None:
+    """The first check verify_groebner fails, or None if it passes them all.
+
+    Returns None, the pair (i, j) of indices into G (i < j) whose
+    S-polynomial does not reduce to zero, or ("input", k) for the input F[k]
+    that does not. Pairs are checked first, in order of i then j, and then
+    the inputs in order. Zero elements of G form no pairs.
+    """
+    G = list(G)
+    F = list(F) if F is not None else []
+    idx = [i for i, g in enumerate(G) if not g.is_zero]
+    G = [G[i] for i in idx]
+    if not G:
+        return next((("input", k) for k, f in enumerate(F) if not f.is_zero), None)
+    ctx = G[0].context
+    for poly in G + F:
+        if poly.context is not ctx:
+            raise ValueError("polynomials from different contexts")
+    p = ctx.field.p
+    deadline = perf_counter() + max_seconds if max_seconds is not None else None
+    pack_key, pack_exps, pack_lcm, mtop, ones = _packed_layout(ctx.order, G, F)
+    prepped = _packed_basis(G, pack_key, pack_exps, mtop, ones)
+    cands: dict = {}
+    lms = [r[0] for _, r in prepped]
+    # S(g_i, g_j) = inv_i * (L / lm_i) * tail_i - inv_j * (L / lm_j) * tail_j
+    # with the leading terms cancelled; each side's tail scaled once
+    ups = [[(dk, de, inv * ct % p) for dk, de, ct in tail] for _, (_, inv, tail) in prepped]
+    downs = [[(dk, de, p - c) for dk, de, c in up] for up in ups]
+    for i in range(len(G)):
+        lm_i = lms[i]
+        up_i = ups[i]
+        for j in range(i + 1, len(G)):
+            if deadline is not None and perf_counter() > deadline:
+                raise TimeLimitExceeded
+            big = pack_lcm(lm_i, lms[j])
+            seed = [(dk, big + de, c) for dk, de, c in up_i]
+            seed += [(dk, big + de, c) for dk, de, c in downs[j]]
+            if not _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline):
+                return idx[i], idx[j]
+    for k, f in enumerate(F):
+        seed = [(pack_key(e), pack_exps(e), c) for e, c in f.as_tuples()]
+        if not _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline):
+            return "input", k
+    return None
+
+
 def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     """Criterion-free certificate check, independent of the engine's shortcuts.
 
@@ -423,42 +502,10 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     than the engine's merge reducer, so the two routes share no arithmetic.
     Monomials and keys are packed into single integers, which needs the
     order's weight matrix to be integer and degree-first (every order this
-    package ships); any other order raises ValueError.
+    package ships); any other order raises ValueError. verify_failure names
+    the first failing pair or input.
     """
-    G = [g for g in G if not g.is_zero]
-    F = list(F) if F is not None else []
-    if not G:
-        return all(f.is_zero for f in F)
-    ctx = G[0].context
-    for poly in G + F:
-        if poly.context is not ctx:
-            raise ValueError("polynomials from different contexts")
-    order = ctx.order
-    p = ctx.field.p
-    deadline = perf_counter() + max_seconds if max_seconds is not None else None
-    pack_key, pack_exps, mtop = _packed_layout(order, G, F)
-    prepped = _packed_basis(G, pack_key, pack_exps)
-    lm_raw = [order.exps(g.leading_monomial()) for g in G]
-    for i in range(len(G)):
-        _, inv_i, tail_i = prepped[i]
-        for j in range(i + 1, len(G)):
-            if deadline is not None and perf_counter() > deadline:
-                raise TimeLimitExceeded
-            _, inv_j, tail_j = prepped[j]
-            big = tuple(map(max, lm_raw[i], lm_raw[j]))
-            k_big = pack_key(big)
-            e_big = pack_exps(big)
-            seed = [(k_big + dk, e_big + de, inv_i * ct % p)
-                    for dk, de, ct in tail_i]
-            seed += [(k_big + dk, e_big + de, (p - inv_j) * ct % p)
-                     for dk, de, ct in tail_j]
-            if not _sinks_packed(seed, prepped, p, mtop, deadline):
-                return False
-    for f in F:
-        seed = [(pack_key(e), pack_exps(e), c) for e, c in f.as_tuples()]
-        if not _sinks_packed(seed, prepped, p, mtop, deadline):
-            return False
-    return True
+    return verify_failure(G, F, max_seconds=max_seconds) is None
 
 
 def reorder_variables(F) -> tuple:

@@ -361,6 +361,7 @@ def test_verify_order_robustness_small():
     assert len(res.completed) == len(ORDER_LABELS) * 2
     assert res.bases_match is True
     assert res.verified is True
+    assert res.failure is None
     assert res.audits_clean is True
     assert res.basis_size == 3
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gbbench import bench
 from gbbench.cli import main
 from gbbench.ordering import degrevlex_weight_matrix, identity_weight_matrix, subtotal_weight_matrix
 
@@ -145,6 +146,18 @@ def test_verify_single_strategy(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "configs=6" in out
+
+
+def test_verify_names_the_failing_check(monkeypatch, capsys):
+    # a rejected basis is reported with the S-pair or input that failed
+    for failure, shown in (((0, 2), "verified=NO (S-pair 0,2)"),
+                           (("input", 1), "verified=NO (input 1)")):
+        monkeypatch.setattr(bench, "verify_failure", lambda G, F=None, f=failure: f)
+        code = main(["verify", "--cyclic", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "cyclic-3: FAILED" in out
+        assert shown in out
 
 
 def test_verify_aborted_exit_code(capsys):

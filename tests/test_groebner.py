@@ -14,6 +14,7 @@ from gbbench.corpus import cyclic_system, katsura_system, load_bundled, parse_sy
 from gbbench.groebner import (
     EngineStats,
     LeadTable,
+    _packed_layout,
     _pop_pair,
     _selection_keys,
     _update,
@@ -21,6 +22,7 @@ from gbbench.groebner import (
     buchberger,
     reduce_basis,
     reorder_variables,
+    verify_failure,
     verify_groebner,
 )
 from gbbench.modfield import PrimeField
@@ -34,7 +36,7 @@ from gbbench.ordering import (
     identity_weight_matrix,
     subtotal_weight_matrix,
 )
-from gbbench.poly import PolyContext, TimeLimitExceeded
+from gbbench.poly import PolyContext, TimeLimitExceeded, reduce, s_polynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -438,6 +440,137 @@ def test_verify_groebner_across_strategies():
         polys = realize(cyclic_system(4), order, field)
         red = reduce_basis(buchberger(polys).basis)
         assert verify_groebner(red, polys)
+
+
+def _sinks_oracle(terms, G, order, p, inv):
+    # top-reduce by the first element of G whose leading monomial divides the
+    # greatest pending monomial; True iff nothing is left
+    wv = order.matrix.weight_vector
+    acc = {}
+    for e, c in terms:
+        acc[e] = (acc.get(e, 0) + c) % p
+    while True:
+        live = [e for e, c in acc.items() if c]
+        if not live:
+            return True
+        e = max(live, key=wv)
+        c = acc.pop(e)
+        for g in G:
+            (lm, lc), *tail = g.as_tuples()
+            if _divides(lm, e):
+                break
+        else:
+            return False
+        factor = -c * inv(lc)
+        for et, ct in tail:
+            m = tuple(a - b + x for a, b, x in zip(e, lm, et))
+            acc[m] = (acc.get(m, 0) + factor * ct) % p
+
+
+def _verify_oracle(G, F=()):
+    # verify_failure written out plainly: exponent tuples keyed by their
+    # weight vectors, every element probed in basis order, absolute keys and
+    # lcms by tuple(map(max, ...)); G holds no zero polynomial
+    if not G:
+        return next((("input", k) for k, f in enumerate(F) if not f.is_zero), None)
+    ctx = G[0].context
+    p, inv = ctx.field.p, ctx.field.inv
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            (lm_i, lc_i), *tail_i = G[i].as_tuples()
+            (lm_j, lc_j), *tail_j = G[j].as_tuples()
+            big = tuple(map(max, lm_i, lm_j))
+            seed = [(tuple(a - b + x for a, b, x in zip(big, lm_i, e)), inv(lc_i) * c)
+                    for e, c in tail_i]
+            seed += [(tuple(a - b + x for a, b, x in zip(big, lm_j, e)), -inv(lc_j) * c)
+                     for e, c in tail_j]
+            if not _sinks_oracle(seed, G, ctx.order, p, inv):
+                return i, j
+    for k, f in enumerate(F):
+        if not _sinks_oracle(f.as_tuples(), G, ctx.order, p, inv):
+            return "input", k
+    return None
+
+
+# 2 to 5 variables, 2 or 3 polynomials of 2 or 3 terms, exponents mostly
+# zero so that supports are sparse and differ between terms
+_SPARSE_SYSTEMS = st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(st.tuples(*[st.sampled_from((0, 0, 0, 1, 1, 2))] * n),
+                       st.integers(1, 32002)), min_size=2, max_size=3),
+    min_size=2, max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_SPARSE_SYSTEMS, st.integers(0, 100))
+def test_verifier_agrees_with_straightforward_oracle(system, drop):
+    n = len(system[0][0][0])
+    field = PrimeField(32003)
+    for label in ORDER_LABELS:
+        ctx = PolyContext(n, field, order_factory(label)(n))
+        F = [ctx.polynomial(terms) for terms in system]
+        if any(f.is_zero for f in F):
+            return
+        res = buchberger(F, max_seconds=20.0)
+        assert res.completed, label
+        red = reduce_basis(res.basis)
+        short = red[:drop % len(red)] + red[drop % len(red) + 1:]
+        assert verify_failure(red, F) is None and _verify_oracle(red, F) is None, label
+        assert verify_failure(short, F) == _verify_oracle(short, F) is not None, label
+        assert verify_failure(F) == _verify_oracle(F), label
+
+
+def test_verifier_checks_every_pair_and_input(monkeypatch):
+    # no S-pair is skipped, coprime ones included: one top-reduction per pair
+    # of an accepted basis and one per input
+    calls = []
+    sinks = groebner._sinks_packed
+    monkeypatch.setattr(groebner, "_sinks_packed",
+                        lambda *args: calls.append(1) or sinks(*args))
+    field = PrimeField(32003)
+    for spec in (cyclic_system(4), load_bundled("lichtblau3")):
+        polys = realize(spec, DegRevLexOrder(spec.nvars), field)
+        res = buchberger(polys)
+        for G in (res.basis, reduce_basis(res.basis)):
+            calls.clear()
+            assert verify_groebner(G, polys), spec.name
+            assert len(calls) == len(G) * (len(G) - 1) // 2 + len(polys), spec.name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 30), st.data())
+def test_packed_lcm_and_support_mask(n, deg, data):
+    # exponents up to the field bound: one below the guard bit
+    ctx = _ctx(n)
+    f = ctx.polynomial([((deg,) + (0,) * (n - 1), 1)])
+    pack_key, pack_exps, pack_lcm, mtop, ones = _packed_layout(ctx.order, [f], [])
+    bias = mtop & -mtop
+    exps = st.tuples(*[st.one_of(st.just(0), st.integers(0, bias - 1),
+                                 st.just(bias - 1))] * n)
+    a, b = data.draw(exps), data.draw(exps)
+    pa, pb = pack_exps(a), pack_exps(b)
+    assert pack_lcm(pa, pb) == pack_lcm(pb, pa) == pack_exps(tuple(map(max, a, b)))
+    for e, pe in ((a, pa), (b, pb)):
+        assert (pe + ones) & mtop == pack_exps(tuple(int(v > 0) for v in e)) * bias
+
+
+def test_verify_failure_names_the_failing_check():
+    field = PrimeField(32003)
+    polys = realize(cyclic_system(4), DegRevLexOrder(4), field)
+    red = reduce_basis(buchberger(polys).basis)
+    assert verify_failure(red, polys) is None
+    # without the linear element the rest still pairs off cleanly, but an
+    # input is no longer in the ideal
+    kind, k = verify_failure(red[1:], polys)
+    assert kind == "input"
+    assert not reduce(polys[k], red[1:]).is_zero
+    # the raw system is no basis: the named S-polynomial has a nonzero
+    # normal form under the engine's own reducer too
+    i, j = verify_failure(polys)
+    assert 0 <= i < j < len(polys)
+    assert not reduce(s_polynomial(polys[i], polys[j]), polys).is_zero
+    # indices count the caller's zero polynomials, which form no pairs
+    assert verify_failure([polys[0].context.zero()] + polys) == (i + 1, j + 1)
+    assert verify_failure([], polys) == ("input", 0)
 
 
 def test_reorder_variables_by_occurrence():
