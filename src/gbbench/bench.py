@@ -15,7 +15,7 @@ import io
 import json
 import random
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from time import perf_counter
 
@@ -28,7 +28,7 @@ from .groebner import (
     reorder_variables,
     verify_failure,
 )
-from .modfield import PrimeField
+from .modfield import DEFAULT_MODULUS, PrimeField
 from .ordering import (
     DegRevLexOrder,
     MatrixCachedOrder,
@@ -57,6 +57,7 @@ ORDER_LABELS = tuple(ORDERS)
 
 DEFAULT_ORDERS = ("degrevlex", "grevlex-matrix", "subtotal-matrix", "subtotal")
 DEFAULT_REFERENCE = "grevlex-matrix"
+DEFAULT_TIME_LIMIT = 120.0
 
 # Pair-selection strategies by name: pick the pair whose lcm is smallest
 # under the run's own order, or by its weight vector under the label's
@@ -90,8 +91,8 @@ class BenchmarkConfig:
     orders: tuple = DEFAULT_ORDERS
     reference: str = DEFAULT_REFERENCE
     strategy: str = INDUCED_ORDER
-    modulus: int = 32003
-    max_seconds: float = 120.0
+    modulus: int = DEFAULT_MODULUS
+    max_seconds: float = DEFAULT_TIME_LIMIT
     min_measure_seconds: float = 1.0
     reorder: bool = False
 
@@ -179,19 +180,17 @@ def format_degree_multiset(degs) -> str:
     return "*".join(parts)
 
 
-def timed_run(spec: SystemSpec, order_label: str, config: BenchmarkConfig,
-              strategy_kind: str | None = None) -> RunCell:
+def timed_run(spec: SystemSpec, order_label: str, config: BenchmarkConfig) -> RunCell:
     """One benchmark cell: repeat realize+buchberger until the cumulative
     wall time exceeds min_measure_seconds, then average."""
     field_ = PrimeField(config.modulus)
     factory = order_factory(order_label)
-    kind = strategy_kind or config.strategy
     total = 0.0
     m = 0
     stats = None
     while True:
         order = factory(spec.nvars)
-        strategy = strategy_for(order_label, spec.nvars, kind)
+        strategy = strategy_for(order_label, spec.nvars, config.strategy)
         t0 = perf_counter()
         polys = realize(spec, order, field_)
         res = buchberger(polys, strategy=strategy, max_seconds=config.max_seconds)
@@ -258,8 +257,7 @@ def run_benchmark(specs, config: BenchmarkConfig | None = None) -> BenchmarkRepo
     return BenchmarkReport(config=config, rows=rows, summaries=summaries)
 
 
-_STAT_FIELDS = ("comparisons", "pairs_processed", "pairs_skipped_by_criteria",
-                "reduction_steps", "matvec_products", "wall_time")
+_STAT_FIELDS = tuple(f.name for f in fields(EngineStats))
 
 
 def _render_text(report: BenchmarkReport) -> str:
@@ -383,40 +381,34 @@ def _time_calls(cmp, pairs) -> float:
 
 
 def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
-                          max_exponent: int = 30, chunk: int = 100_000) -> dict:
+                          max_exponent: int = 30) -> dict:
     """Time cmp_subtotal against cmp_degrevlex on identical random pairs.
 
-    Pairs are generated outside the timed regions in chunks (memory stays
-    bounded); both comparators see exactly the same data, so the ratio
-    isolates the comparator bodies plus identical loop overhead. The two are
-    timed in alternating sub-blocks of _MICROBENCH_BLOCK pairs whose lead
-    alternates too (degrevlex first, then subtotal first: ABBA), so a drift
-    in host speed weighs on both alike.
+    Both comparators see exactly the same data, so the ratio isolates the
+    comparator bodies plus identical loop overhead. The two are timed in
+    alternating sub-blocks of _MICROBENCH_BLOCK pairs whose lead alternates
+    too (degrevlex first, then subtotal first: ABBA), so a drift in host
+    speed weighs on both alike. Each sub-block's pairs are drawn just before
+    it is timed, by one rng.choices call, so memory stays one block deep.
     """
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and samples >= 1")
+    if n < 1 or samples < 1 or max_exponent < 0:
+        raise ValueError("need n >= 1, samples >= 1 and max_exponent >= 0")
     rng = random.Random(seed)
+    exponents = range(max_exponent + 1)
     t_deg = 0.0
     t_sub = 0.0
     deg_first = True
-    remaining = samples
-    while remaining > 0:
-        k = min(chunk, remaining)
-        remaining -= k
-        pairs = [
-            (tuple(rng.randint(0, max_exponent) for _ in range(n)),
-             tuple(rng.randint(0, max_exponent) for _ in range(n)))
-            for _ in range(k)
-        ]
-        for lo in range(0, k, _MICROBENCH_BLOCK):
-            block = pairs[lo:lo + _MICROBENCH_BLOCK]
-            if deg_first:
-                t_deg += _time_calls(cmp_degrevlex, block)
-                t_sub += _time_calls(cmp_subtotal, block)
-            else:
-                t_sub += _time_calls(cmp_subtotal, block)
-                t_deg += _time_calls(cmp_degrevlex, block)
-            deg_first = not deg_first
+    for lo in range(0, samples, _MICROBENCH_BLOCK):
+        k = min(_MICROBENCH_BLOCK, samples - lo)
+        monomials = list(zip(*[iter(rng.choices(exponents, k=2 * n * k))] * n))
+        block = list(zip(monomials[::2], monomials[1::2]))
+        if deg_first:
+            t_deg += _time_calls(cmp_degrevlex, block)
+            t_sub += _time_calls(cmp_subtotal, block)
+        else:
+            t_sub += _time_calls(cmp_subtotal, block)
+            t_deg += _time_calls(cmp_degrevlex, block)
+        deg_first = not deg_first
     return {
         "n": n,
         "samples": samples,
@@ -472,19 +464,17 @@ class RobustnessResult:
                 and self.verified is not False and self.audits_clean is not False)
 
 
-def verify_order_robustness(spec: SystemSpec, *, modulus: int = 32003,
-                            max_seconds: float = 120.0,
+def verify_order_robustness(spec: SystemSpec, *, modulus: int = DEFAULT_MODULUS,
+                            max_seconds: float = DEFAULT_TIME_LIMIT,
                             strategies=(INDUCED_ORDER, WEIGHT_VECTOR),
-                            orders=ORDER_LABELS,
-                            stop_on_abort: bool = True,
-                            verify: bool = True) -> RobustnessResult:
+                            stop_on_abort: bool = True) -> RobustnessResult:
     """Run every (order, strategy) configuration and cross-check the results.
 
     Checks that all completed runs yield the identical reduced basis (term for
     term, as exponent/coefficient tuples), that cached weight vectors audit
-    clean, and optionally that the basis passes the criterion-free
-    verify_groebner against the inputs; when it does not, failure names the
-    first failing S-pair or input (see verify_failure).
+    clean, and that the first completed run's reduced basis passes the
+    criterion-free verify_groebner against the inputs; when it does not,
+    failure names the first failing S-pair or input (see verify_failure).
     """
     field_ = PrimeField(modulus)
     completed = []
@@ -496,7 +486,7 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = 32003,
     failure = None
     basis_size = None
     saved = None
-    for label in orders:
+    for label in ORDER_LABELS:
         for kind in strategies:
             order = order_factory(label)(spec.nvars)
             strategy = strategy_for(label, spec.nvars, kind)
@@ -521,7 +511,7 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = 32003,
                 saved = (polys, red)
             elif tuples != reference:
                 bases_match = False
-    if verify and saved is not None:
+    if saved is not None:
         polys, red = saved
         failure = verify_failure(red, polys)
         verified = failure is None

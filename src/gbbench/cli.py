@@ -15,6 +15,7 @@ from .bench import (
     BenchmarkConfig,
     DEFAULT_ORDERS,
     DEFAULT_REFERENCE,
+    DEFAULT_TIME_LIMIT,
     INDUCED_ORDER,
     ORDER_LABELS,
     ORDERS,
@@ -24,7 +25,7 @@ from .bench import (
     run_benchmark,
     verify_order_robustness,
 )
-from .modfield import PrimeField
+from .modfield import DEFAULT_MODULUS, PrimeField
 from .ordering import (
     DegRevLexOrder,
     WeightMatrix,
@@ -51,6 +52,8 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
                         "of *.txt system files (repeatable)")
     p.add_argument("--clear-denominators", action="store_true",
                    help="accept rational coefficients in system files and clear them")
+    p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
+    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT, metavar="SEC")
 
 
 def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
@@ -143,26 +146,22 @@ def cmd_verify(args, parser) -> int:
             continue
         any_completed = True
         parts = [f"configs={len(res.completed)}", f"basis={res.basis_size}"]
-        ok = True
         if res.bases_match is False:
             parts.append("bases=DIFFER")
-            ok = False
         else:
             parts.append("bases=identical")
         if res.verified is False:
             a, b = res.failure
             where = f"input {b}" if a == "input" else f"S-pair {a},{b}"
             parts.append(f"verified=NO ({where})")
-            ok = False
         elif res.verified:
             parts.append("verified=yes")
         if res.audits_clean is False:
             parts.append("weight-audit=DIRTY")
-            ok = False
         elif res.audits_clean:
             parts.append("weight-audit=clean")
-        print(f"{spec.name}: {'OK' if ok else 'FAILED'}  " + "  ".join(parts))
-        any_bad = any_bad or not ok
+        print(f"{spec.name}: {'OK' if res.ok else 'FAILED'}  " + "  ".join(parts))
+        any_bad = any_bad or not res.ok
     if any_bad:
         return EXIT_CHECK_FAILED
     if not any_completed:
@@ -258,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="denominator of the ratio columns")
     p_run.add_argument("--strategy", choices=(INDUCED_ORDER, WEIGHT_VECTOR),
                        default=INDUCED_ORDER, help="critical-pair selection strategy")
-    p_run.add_argument("--modulus", type=int, default=32003)
-    p_run.add_argument("--time-limit", type=float, default=120.0, metavar="SEC")
     p_run.add_argument("--min-measure", type=float, default=1.0, metavar="SEC",
                        help="repeat runs until the cumulative time exceeds this")
     p_run.add_argument("--reorder-variables", action="store_true",
@@ -270,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="cross-check bases across every order and strategy")
     _add_system_args(p_ver)
-    p_ver.add_argument("--modulus", type=int, default=32003)
-    p_ver.add_argument("--time-limit", type=float, default=120.0, metavar="SEC")
     p_ver.add_argument("--strategies", choices=("both", INDUCED_ORDER, WEIGHT_VECTOR),
                        default="both")
     p_ver.set_defaults(func=cmd_verify, parser=p_ver)

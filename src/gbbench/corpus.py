@@ -24,7 +24,7 @@ from importlib import resources
 
 from .modfield import PrimeField
 from .ordering import MonomialOrder
-from .poly import Polynomial, PolyContext
+from .poly import PolyContext, format_terms
 
 _NAME_KEY = "name"
 _PROV_KEY = "provenance"
@@ -244,30 +244,6 @@ def parse_system(text: str, *, name: str | None = None, clear: bool = False) -> 
     return spec
 
 
-def _format_terms(terms, variables) -> str:
-    parts = []
-    for idx, (coeff, exps) in enumerate(terms):
-        mag = -coeff if coeff < 0 else coeff
-        factors = []
-        for nm, e in zip(variables, exps):
-            if e == 1:
-                factors.append(nm)
-            elif e != 0:
-                factors.append(f"{nm}^{e}")
-        body = "*".join(factors)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if idx == 0:
-            parts.append(f"-{piece}" if coeff < 0 else piece)
-        else:
-            parts.append(f"- {piece}" if coeff < 0 else f"+ {piece}")
-    return " ".join(parts)
-
-
 def render_system(spec: SystemSpec) -> str:
     """Inverse of parse_system: parse(render(spec)) == spec, term for term."""
     lines = []
@@ -277,7 +253,7 @@ def render_system(spec: SystemSpec) -> str:
         lines.append(f"provenance: {spec.provenance}")
     lines.append(f"vars: {' '.join(spec.variables)}")
     for terms in spec.polynomials:
-        lines.append(f"poly: {_format_terms(terms, spec.variables)}")
+        lines.append(f"poly: {format_terms(terms, spec.variables)}")
     return "\n".join(lines) + "\n"
 
 
@@ -285,9 +261,7 @@ def clear_denominators(spec: SystemSpec) -> SystemSpec:
     """Multiply each polynomial by the lcm of its coefficient denominators."""
     out = []
     for terms in spec.polynomials:
-        L = 1
-        for c, _ in terms:
-            L = L * c.denominator // math.gcd(L, c.denominator)
+        L = math.lcm(*(c.denominator for c, _ in terms))
         if L == 1:
             out.append(terms)
         else:

@@ -20,7 +20,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .ordering import MatrixCachedOrder, WeightMatrix
-from .poly import Polynomial, Reducers, TimeLimitExceeded, reduce, s_polynomial
+from .poly import _DEADLINE_STRIDE, Polynomial, Reducers, TimeLimitExceeded, reduce, s_polynomial
 
 @dataclass
 class EngineStats:
@@ -301,9 +301,6 @@ def reduce_basis(G) -> list:
     return out
 
 
-_PROBE_STRIDE = 4096
-
-
 def _packed_layout(order, G, F):
     """Bit layout for the integer-packed verifier.
 
@@ -430,7 +427,7 @@ def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
             return False
         if deadline is not None:
             tick += 1
-            if tick >= _PROBE_STRIDE:
+            if tick >= _DEADLINE_STRIDE:
                 tick = 0
                 if perf_counter() > deadline:
                     raise TimeLimitExceeded

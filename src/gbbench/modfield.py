@@ -39,17 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 class PrimeField:
     """Context object for Z_p: the modulus and inversion. The engine does the
     rest of its arithmetic inline on canonical ints in [0, p)."""
@@ -64,14 +53,10 @@ class PrimeField:
         self.p = p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via extended Euclid; a must be nonzero mod p."""
-        a %= self.p
-        if a == 0:
+        """Multiplicative inverse; a must be nonzero mod p."""
+        if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in Z_{self.p}")
-        g, x, _ = xgcd(a, self.p)
-        if g != 1:  # cannot happen for prime p, kept as a guard
-            raise ZeroDivisionError(f"{a} not invertible mod {self.p}")
-        return x % self.p
+        return pow(a, -1, self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

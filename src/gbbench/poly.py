@@ -72,8 +72,8 @@ def _same_context(f: "Polynomial", g: "Polynomial") -> None:
         raise ValueError("polynomials from different contexts")
 
 
-def _merge(ctx: PolyContext, A, B, negate_b: bool, ia: int = 0, ib: int = 0) -> list:
-    """Merge two descending term sequences as A + B or A - B from the given offsets."""
+def _merge(ctx: PolyContext, A, B, ia: int = 0, ib: int = 0) -> list:
+    """Merge two descending term sequences as A - B from the given offsets."""
     cmp = ctx.order.cmp
     p = ctx.field.p
     out = []
@@ -87,20 +87,44 @@ def _merge(ctx: PolyContext, A, B, negate_b: bool, ia: int = 0, ib: int = 0) -> 
             out.append(A[ia])
             ia += 1
         elif c < 0:
-            out.append((hb, p - cb) if negate_b else (hb, cb))
+            out.append((hb, p - cb))
             ib += 1
         else:
-            s = (ca - cb) % p if negate_b else (ca + cb) % p
+            s = (ca - cb) % p
             if s:
                 out.append((ha, s))
             ia += 1
             ib += 1
     out += A[ia:]
-    if negate_b:
-        out += [(hb, p - cb) for hb, cb in B[ib:]]
-    else:
-        out += B[ib:]
+    out += [(hb, p - cb) for hb, cb in B[ib:]]
     return out
+
+
+def format_terms(terms, names) -> str:
+    """Text of a sum of (coeff, exps) terms in the given order: the first
+    term's sign attached, later ones as ' + ' or ' - ', a coefficient 1 left
+    out before a monomial, '^' only for exponents above 1."""
+    parts = []
+    for idx, (coeff, exps) in enumerate(terms):
+        mag = -coeff if coeff < 0 else coeff
+        factors = []
+        for nm, e in zip(names, exps):
+            if e == 1:
+                factors.append(nm)
+            elif e != 0:
+                factors.append(f"{nm}^{e}")
+        body = "*".join(factors)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{mag}*{body}"
+        if idx == 0:
+            parts.append(f"-{piece}" if coeff < 0 else piece)
+        else:
+            parts.append(f"- {piece}" if coeff < 0 else f"+ {piece}")
+    return " ".join(parts)
 
 
 class Polynomial:
@@ -137,14 +161,13 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        _same_context(self, other)
-        return Polynomial(self.context, tuple(_merge(self.context, self.terms, other.terms, False)))
+        return self - (-other)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         _same_context(self, other)
-        return Polynomial(self.context, tuple(_merge(self.context, self.terms, other.terms, True)))
+        return Polynomial(self.context, tuple(_merge(self.context, self.terms, other.terms)))
 
     def __neg__(self):
         p = self.context.field.p
@@ -191,22 +214,7 @@ class Polynomial:
             return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.context.nvars)]
-        parts = []
-        for exps, c in self.as_tuples():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts)
+        return format_terms([(c, e) for e, c in self.as_tuples()], names)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.format()} mod {self.context.field.p})"
@@ -229,7 +237,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     L = order.lcm(hf, hg)
     a = f._mul_handle(order.div(L, hf), inv(cf))
     b = g._mul_handle(order.div(L, hg), inv(cg))
-    return Polynomial(ctx, tuple(_merge(ctx, a.terms, b.terms, True, 1, 1)))
+    return Polynomial(ctx, tuple(_merge(ctx, a.terms, b.terms, 1, 1)))
 
 
 _DEADLINE_STRIDE = 4096
@@ -322,7 +330,7 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
         factor = c * inv_lc % p
         mult = [(mul(q, hg), ct * factor % p) for hg, ct in terms_g]
         # the head work[i0] cancels against mult[0] exactly
-        work = _merge(ctx, work, mult, True, i0 + 1, 1)
+        work = _merge(ctx, work, mult, i0 + 1, 1)
         i0 = 0
     if stats is not None:
         stats.reduction_steps += steps

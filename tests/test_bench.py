@@ -300,7 +300,7 @@ def test_render_report_unknown_format():
 
 
 def test_comparator_microbench_shape():
-    out = comparator_microbench(4, samples=10_000, seed=7, chunk=2500)
+    out = comparator_microbench(4, samples=10_000, seed=7)
     assert out["n"] == 4
     assert out["samples"] == 10_000
     assert out["degrevlex_seconds"] > 0
@@ -315,6 +315,8 @@ def test_comparator_microbench_shape():
         comparator_microbench(0, samples=10)
     with pytest.raises(ValueError):
         comparator_microbench(3, samples=0)
+    with pytest.raises(ValueError):
+        comparator_microbench(3, samples=10, max_exponent=-1)
 
 
 def test_comparator_microbench_self_comparison(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gbbench.modfield import DEFAULT_MODULUS, MILLER_RABIN_LIMIT, PrimeField, is_prime, xgcd
+from gbbench.modfield import DEFAULT_MODULUS, MILLER_RABIN_LIMIT, PrimeField, is_prime
 
 
 def test_default_modulus_is_prime():
@@ -36,16 +36,6 @@ def test_is_prime_miller_rabin():
     with pytest.raises(ValueError):
         is_prime(MILLER_RABIN_LIMIT)
     assert PrimeField(2**61 - 1).inv(2) == 2**60
-
-
-def test_xgcd_bezout_identity():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = rng.randrange(1, 10**6)
-        b = rng.randrange(1, 10**6)
-        g, x, y = xgcd(a, b)
-        assert g == a * x + b * y
-        assert a % g == 0 and b % g == 0
 
 
 def test_field_rejects_bad_modulus():

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbbench.corpus import katsura_system, realize
 from gbbench.modfield import PrimeField
 from gbbench.ordering import DegRevLexOrder, MatrixCachedOrder, SubtotalOrder, subtotal_weight_matrix
 from gbbench.poly import (
@@ -254,7 +255,14 @@ def test_format_and_equality():
     ctx = _ctx(3)
     f = ctx.polynomial([((1, 2, 0), 3), ((0, 0, 0), 1)])
     text = f.format(["x", "y", "z"])
-    assert "x" in text and "y^2" in text
+    assert text == "3*x*y^2 + 1"
     assert f == ctx.polynomial([((0, 0, 0), 1), ((1, 2, 0), 3)])
     assert f != ctx.polynomial([((1, 2, 0), 3)])
     assert ctx.zero().format() == "0"
+    k3 = realize(katsura_system(3), DegRevLexOrder(3), PrimeField(32003))
+    assert [g.format() for g in k3] == [
+        "x1^2 + 2*x2^2 + 2*x3^2 + 32002*x1",
+        "2*x1*x2 + 2*x2*x3 + 32002*x2",
+        "x1 + 2*x2 + 2*x3 + 32002",
+    ]
+    assert k3[0].format(["u0", "u1", "u2"]) == "u0^2 + 2*u1^2 + 2*u2^2 + 32002*u0"
