@@ -36,8 +36,6 @@ from .ordering import (
     MatrixOrder,
     SubtotalOrder,
     WeightMatrix,
-    cmp_degrevlex,
-    cmp_subtotal,
     degrevlex_weight_matrix,
     subtotal_weight_matrix,
 )
@@ -59,11 +57,15 @@ DEFAULT_ORDERS = ("degrevlex", "grevlex-matrix", "subtotal-matrix", "subtotal")
 DEFAULT_REFERENCE = "grevlex-matrix"
 DEFAULT_TIME_LIMIT = 120.0
 
-# Pair-selection strategies by name: pick the pair whose lcm is smallest
-# under the run's own order, or by its weight vector under the label's
-# family matrix.
+# Pair-selection strategies by name -> (label, n) -> buchberger's strategy
+# argument: pick the pair whose lcm is smallest under the run's own order
+# (None), or by its weight vector under the label's family matrix.
 INDUCED_ORDER = "induced-order"
 WEIGHT_VECTOR = "weight-vector"
+STRATEGIES = {
+    INDUCED_ORDER: lambda label, n: None,
+    WEIGHT_VECTOR: lambda label, n: ORDERS[label][1](n),
+}
 
 
 def order_factory(label: str):
@@ -77,13 +79,10 @@ def order_factory(label: str):
 
 
 def strategy_for(label: str, n: int, kind: str) -> WeightMatrix | None:
-    """buchberger's strategy argument for a named selection strategy: None
-    for induced-order, the label's family matrix for weight-vector."""
-    if kind == INDUCED_ORDER:
-        return None
-    if kind == WEIGHT_VECTOR:
-        return ORDERS[label][1](n)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    """buchberger's strategy argument for a named selection strategy."""
+    if kind not in STRATEGIES:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    return STRATEGIES[kind](label, n)
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class BenchmarkConfig:
             raise ValueError("duplicate order labels")
         if self.reference not in self.orders:
             raise ValueError(f"reference {self.reference!r} not among the selected orders")
-        if self.strategy not in (INDUCED_ORDER, WEIGHT_VECTOR):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.max_seconds <= 0 or self.min_measure_seconds <= 0:
             raise ValueError("time limits must be positive")
@@ -360,14 +359,13 @@ def _render_jsonl(report: BenchmarkReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+RENDERERS = {"text": _render_text, "csv": _render_csv, "jsonl": _render_jsonl}
+
+
 def render_report(report: BenchmarkReport, fmt: str = "text") -> str:
-    if fmt == "text":
-        return _render_text(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "jsonl":
-        return _render_jsonl(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in RENDERERS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return RENDERERS[fmt](report)
 
 
 _MICROBENCH_BLOCK = 1000
@@ -382,7 +380,8 @@ def _time_calls(cmp, pairs) -> float:
 
 def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
                           max_exponent: int = 30) -> dict:
-    """Time cmp_subtotal against cmp_degrevlex on identical random pairs.
+    """Time SubtotalOrder(n).cmp against DegRevLexOrder(n).cmp, the bodies
+    the engine runs, on identical random pairs.
 
     Both comparators see exactly the same data, so the ratio isolates the
     comparator bodies plus identical loop overhead. The two are timed in
@@ -393,6 +392,8 @@ def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
     """
     if n < 1 or samples < 1 or max_exponent < 0:
         raise ValueError("need n >= 1, samples >= 1 and max_exponent >= 0")
+    deg = DegRevLexOrder(n).cmp
+    sub = SubtotalOrder(n).cmp
     rng = random.Random(seed)
     exponents = range(max_exponent + 1)
     t_deg = 0.0
@@ -403,11 +404,11 @@ def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
         monomials = list(zip(*[iter(rng.choices(exponents, k=2 * n * k))] * n))
         block = list(zip(monomials[::2], monomials[1::2]))
         if deg_first:
-            t_deg += _time_calls(cmp_degrevlex, block)
-            t_sub += _time_calls(cmp_subtotal, block)
+            t_deg += _time_calls(deg, block)
+            t_sub += _time_calls(sub, block)
         else:
-            t_sub += _time_calls(cmp_subtotal, block)
-            t_deg += _time_calls(cmp_degrevlex, block)
+            t_sub += _time_calls(sub, block)
+            t_deg += _time_calls(deg, block)
         deg_first = not deg_first
     return {
         "n": n,
@@ -466,7 +467,7 @@ class RobustnessResult:
 
 def verify_order_robustness(spec: SystemSpec, *, modulus: int = DEFAULT_MODULUS,
                             max_seconds: float = DEFAULT_TIME_LIMIT,
-                            strategies=(INDUCED_ORDER, WEIGHT_VECTOR),
+                            strategies=tuple(STRATEGIES),
                             stop_on_abort: bool = True) -> RobustnessResult:
     """Run every (order, strategy) configuration and cross-check the results.
 

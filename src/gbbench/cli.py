@@ -19,7 +19,8 @@ from .bench import (
     INDUCED_ORDER,
     ORDER_LABELS,
     ORDERS,
-    WEIGHT_VECTOR,
+    RENDERERS,
+    STRATEGIES,
     comparator_microbench,
     render_report,
     run_benchmark,
@@ -131,8 +132,7 @@ def cmd_run(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     specs = _collect_systems(args, parser)
-    strategies = ((INDUCED_ORDER, WEIGHT_VECTOR) if args.strategies == "both"
-                  else (args.strategies,))
+    strategies = tuple(STRATEGIES) if args.strategies == "both" else (args.strategies,)
     any_bad = False
     any_completed = False
     for spec in specs:
@@ -170,14 +170,11 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_microbench(args, parser) -> int:
-    if args.vars < 1:
-        parser.error("--vars must be at least 1")
-    if args.samples < 1:
-        parser.error("--samples must be at least 1")
-    if args.max_exponent < 0:
-        parser.error("--max-exponent must be nonnegative")
-    res = comparator_microbench(args.vars, samples=args.samples, seed=args.seed,
-                                max_exponent=args.max_exponent)
+    try:
+        res = comparator_microbench(args.vars, samples=args.samples, seed=args.seed,
+                                    max_exponent=args.max_exponent)
+    except ValueError as e:
+        parser.error(str(e))
     print(f"comparator microbench  n={res['n']}  samples={res['samples']}  "
           f"seed={res['seed']}  max-exponent={res['max_exponent']}")
     print(f"  degrevlex: {res['degrevlex_seconds']:.4f} s")
@@ -255,19 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated order labels (known: {', '.join(ORDER_LABELS)})")
     p_run.add_argument("--reference", default=DEFAULT_REFERENCE,
                        help="denominator of the ratio columns")
-    p_run.add_argument("--strategy", choices=(INDUCED_ORDER, WEIGHT_VECTOR),
+    p_run.add_argument("--strategy", choices=tuple(STRATEGIES),
                        default=INDUCED_ORDER, help="critical-pair selection strategy")
     p_run.add_argument("--min-measure", type=float, default=1.0, metavar="SEC",
                        help="repeat runs until the cumulative time exceeds this")
     p_run.add_argument("--reorder-variables", action="store_true",
                        help="apply the occurrence-count variable reordering heuristic")
-    p_run.add_argument("--format", choices=("text", "csv", "jsonl"), default="text")
+    p_run.add_argument("--format", choices=tuple(RENDERERS), default="text")
     p_run.add_argument("--output", "-o", default=None, metavar="PATH")
     p_run.set_defaults(func=cmd_run, parser=p_run)
 
     p_ver = sub.add_parser("verify", help="cross-check bases across every order and strategy")
     _add_system_args(p_ver)
-    p_ver.add_argument("--strategies", choices=("both", INDUCED_ORDER, WEIGHT_VECTOR),
+    p_ver.add_argument("--strategies", choices=("both", *STRATEGIES),
                        default="both")
     p_ver.set_defaults(func=cmd_verify, parser=p_ver)
 

@@ -290,7 +290,7 @@ def realize(spec: SystemSpec, order: MonomialOrder, field: PrimeField) -> list:
         raise ValueError(f"order is over {order.n} variables, system has {spec.nvars}")
     if spec.has_rational_coeffs():
         raise ValueError(f"system {spec.name!r} has rational coefficients; clear denominators first")
-    ctx = PolyContext(spec.nvars, field, order)
+    ctx = PolyContext(field, order)
     polys = [ctx.polynomial((e, int(c)) for c, e in terms) for terms in spec.polynomials]
     for i, f in enumerate(polys, 1):
         if f.is_zero:

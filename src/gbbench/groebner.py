@@ -185,8 +185,7 @@ def _pop_pair(P, pair_key) -> CriticalPair:
 
 
 def buchberger(F, *, strategy: WeightMatrix | None = None,
-               max_seconds: float | None = None,
-               max_pairs: int | None = None) -> GroebnerResult:
+               max_seconds: float | None = None) -> GroebnerResult:
     """Groebner basis of the ideal generated by F under the context order.
 
     The next critical pair is the one whose lcm is smallest: under the run's
@@ -197,8 +196,8 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
     entry goes in by binary search; under the run's own order every probe
     is one call of the order's cmp.
 
-    Returns GroebnerResult(basis, stats, aborted). When a limit trips, the
-    result has aborted=True and basis=None, with the stats gathered so far;
+    Returns GroebnerResult(basis, stats, aborted). When the deadline passes,
+    the result has aborted=True and basis=None, with the stats gathered so far;
     the deadline is also probed inside long reductions so the overshoot stays
     bounded. The basis is not auto-reduced; see reduce_basis.
 
@@ -252,8 +251,6 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
         for f in F:
             add(f.monic())
         while P:
-            if max_pairs is not None and stats.pairs_processed >= max_pairs:
-                raise TimeLimitExceeded
             if deadline is not None and perf_counter() > deadline:
                 raise TimeLimitExceeded
             pr = _pop_pair(P, pair_key)
@@ -281,8 +278,8 @@ def reduce_basis(G) -> list:
         return []
     ctx = G[0].context
     order = ctx.order
-    by_lm = cmp_to_key(lambda f, g: order.cmp(f.leading_monomial(), g.leading_monomial()))
-    G_sorted = sorted(G, key=by_lm)
+    G_sorted = sorted(G, key=cmp_to_key(
+        lambda f, g: order.cmp(f.leading_monomial(), g.leading_monomial())))
     minimal: list = []
     minimal_exps: list = []
     for g in G_sorted:
@@ -296,8 +293,8 @@ def reduce_basis(G) -> list:
     out = []
     for g in minimal:
         tail = reduce(Polynomial(ctx, g.terms[1:]), table)
+        # tail reduction keeps lm(g), so out keeps G_sorted's ascending order
         out.append(Polynomial(ctx, g.terms[:1] + tail.terms).monic())
-    out.sort(key=by_lm)
     return out
 
 

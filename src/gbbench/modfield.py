@@ -58,11 +58,5 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in Z_{self.p}")
         return pow(a, -1, self.p)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"

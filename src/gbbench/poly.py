@@ -30,12 +30,8 @@ class PolyContext:
 
     __slots__ = ("nvars", "field", "order")
 
-    def __init__(self, nvars: int, field: PrimeField, order: MonomialOrder):
-        if nvars < 1:
-            raise ValueError(f"need at least one variable, got {nvars}")
-        if order.n != nvars:
-            raise ValueError(f"order is over {order.n} variables, context wants {nvars}")
-        self.nvars = nvars
+    def __init__(self, field: PrimeField, order: MonomialOrder):
+        self.nvars = order.n
         self.field = field
         self.order = order
 
@@ -174,11 +170,9 @@ class Polynomial:
         return Polynomial(self.context, tuple((h, p - c) for h, c in self.terms))
 
     def _mul_handle(self, h, coeff: int) -> "Polynomial":
-        """Multiply by coeff * monomial(h); term order survives translation."""
+        """Multiply by nonzero coeff * monomial(h); term order survives translation."""
         p = self.context.field.p
         c = coeff % p
-        if c == 0 or not self.terms:
-            return Polynomial(self.context, ())
         mul = self.context.order.mul
         if c == 1:
             return Polynomial(self.context, tuple((mul(ht, h), ct) for ht, ct in self.terms))

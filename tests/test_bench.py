@@ -322,7 +322,7 @@ def test_comparator_microbench_shape():
 def test_comparator_microbench_self_comparison(monkeypatch):
     # identical workloads through the same harness must time out near parity
     import gbbench.bench as bench_mod
-    monkeypatch.setattr(bench_mod, "cmp_subtotal", bench_mod.cmp_degrevlex)
+    monkeypatch.setattr(bench_mod, "SubtotalOrder", bench_mod.DegRevLexOrder)
     out = bench_mod.comparator_microbench(4, samples=500_000, seed=3)
     assert 0.9 <= out["ratio_subtotal_over_degrevlex"] <= 1.1
 
@@ -374,6 +374,12 @@ def test_verify_order_robustness_stop_on_abort():
     assert res.completed == []
     assert len(res.aborted) == 1
     assert res.bases_match is None
+    assert res.verified is None
+    # without stopping, every configuration is attempted and aborts
+    res = verify_order_robustness(cyclic_system(6), max_seconds=1e-6, stop_on_abort=False)
+    assert not res.ok
+    assert res.completed == []
+    assert len(res.aborted) == len(ORDER_LABELS) * 2 == 12
     assert res.verified is None
 
 

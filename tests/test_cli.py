@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gbbench import bench
+from gbbench import bench, cli
 from gbbench.cli import main
 from gbbench.ordering import degrevlex_weight_matrix, identity_weight_matrix, subtotal_weight_matrix
 
@@ -158,6 +158,18 @@ def test_verify_names_the_failing_check(monkeypatch, capsys):
         assert code == 1
         assert "cyclic-3: FAILED" in out
         assert shown in out
+
+
+def test_verify_reports_differing_bases_and_dirty_audit(monkeypatch, capsys):
+    def stub(spec, **kwargs):
+        return bench.RobustnessResult(spec.name, [("degrevlex", "induced-order")] * 12, [],
+                                      bases_match=False, verified=True,
+                                      audits_clean=False, basis_size=3)
+    monkeypatch.setattr(cli, "verify_order_robustness", stub)
+    code = main(["verify", "--cyclic", "3"])
+    assert code == 1
+    assert capsys.readouterr().out == ("cyclic-3: FAILED  configs=12  basis=3  bases=DIFFER  "
+                                       "verified=yes  weight-audit=DIRTY\n")
 
 
 def test_verify_aborted_exit_code(capsys):

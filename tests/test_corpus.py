@@ -87,6 +87,32 @@ def test_parse_error_positions():
         parse_system("vars: x\npoly: 2 * 3\n")  # '*' must precede a variable
 
 
+@pytest.mark.parametrize("text,line,col,msg", [
+    ("vars: x\npoly: x + $\n", 2, 11, "unexpected character '$'"),
+    ("vars: x\npoly:   \n", 2, 6, "empty polynomial"),
+    ("vars: x\npoly: 1/x\n", 2, 8, "expected an integer denominator"),
+    ("vars: x\npoly: 1/0 x\n", 2, 8, "zero denominator"),
+    ("vars: x y\npoly: x^y\n", 2, 8, "expected an integer exponent after '^'"),
+    ("vars: x y\npoly: x*2\n", 2, 8, "expected a variable after '*'"),
+    ("vars: x\npoly: x -\n", 2, 9, "dangling sign"),
+    ("vars: x\npoly: x 2\n", 2, 9, "unexpected 'int'"),
+    ("name: a\nname: b\nvars: x\npoly: x\n", 2, 1, "duplicate name line"),
+    ("provenance: a\nprovenance: b\n", 2, 1, "duplicate provenance line"),
+    ("vars: x\nvars: y\n", 2, 1, "duplicate vars line"),
+    ("vars:   \n", 1, 6, "vars line lists no variables"),
+    ("vars: x 1y\n", 1, 9, "bad variable name '1y'"),
+    ("vars: x\nterm: x\n", 2, 1, "unknown key 'term'"),
+    # the two end-of-text checks point one line past the last newline
+    ("name: a\n", 2, 1, "missing vars line"),
+    ("vars: x\n", 2, 1, "system has no polynomials"),
+])
+def test_parse_error_message_line_and_column(text, line, col, msg):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line {line}, column {col}: {msg}", line, col)
+
+
 def test_rational_coefficients_gated():
     text = "vars: x y\npoly: 1/2x^2 + y\n"
     with pytest.raises(ParseError) as err:

@@ -42,7 +42,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def _ctx(n, order=None):
-    return PolyContext(n, PrimeField(32003), order or DegRevLexOrder(n))
+    return PolyContext(PrimeField(32003), order or DegRevLexOrder(n))
 
 
 def _canon(polys):
@@ -169,14 +169,14 @@ def test_equivalent_orders_agree_on_traces():
 # pairs_processed, pairs_skipped, |basis|, |reduced basis|), the same under
 # every roster label
 PINNED_COUNTS = {
-    ("lichtblau3", INDUCED_ORDER): (3458, 3594, 262, 44, 362, 29, 8),
-    ("lichtblau3", WEIGHT_VECTOR): (3242, 3378, 262, 44, 362, 29, 8),
-    ("katsura-4", INDUCED_ORDER): (1101, 1152, 117, 11, 25, 9, 7),
-    ("katsura-4", WEIGHT_VECTOR): (1063, 1114, 117, 11, 25, 9, 7),
-    ("cyclic-4", INDUCED_ORDER): (213, 241, 27, 11, 34, 10, 7),
-    ("cyclic-4", WEIGHT_VECTOR): (178, 206, 27, 11, 34, 10, 7),
-    ("lichtblau1", INDUCED_ORDER): (11881, 13363, 1174, 1212, 31173, 255, 239),
-    ("lichtblau1", WEIGHT_VECTOR): (2339, 3821, 1174, 1212, 31173, 255, 239),
+    ("lichtblau3", INDUCED_ORDER): (3458, 3587, 262, 44, 362, 29, 8),
+    ("lichtblau3", WEIGHT_VECTOR): (3242, 3371, 262, 44, 362, 29, 8),
+    ("katsura-4", INDUCED_ORDER): (1101, 1146, 117, 11, 25, 9, 7),
+    ("katsura-4", WEIGHT_VECTOR): (1063, 1108, 117, 11, 25, 9, 7),
+    ("cyclic-4", INDUCED_ORDER): (213, 235, 27, 11, 34, 10, 7),
+    ("cyclic-4", WEIGHT_VECTOR): (178, 200, 27, 11, 34, 10, 7),
+    ("lichtblau1", INDUCED_ORDER): (11881, 13125, 1174, 1212, 31173, 255, 239),
+    ("lichtblau1", WEIGHT_VECTOR): (2339, 3583, 1174, 1212, 31173, 255, 239),
 }
 
 
@@ -324,7 +324,7 @@ def _cyclic3_with_repeated_leads(order):
     # cyclic-3 plus three members of its ideal whose leading monomials repeat
     # the generators' x1*x2, x1*x2*x3 and x1, so three reducer insertions
     # meet an equal leading monomial
-    ctx = PolyContext(3, PrimeField(32003), order)
+    ctx = PolyContext(PrimeField(32003), order)
     x, y, z, one = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
     return [ctx.polynomial(t) for t in (
         [(x, 1), (y, 1), (z, 1)],
@@ -339,8 +339,8 @@ def _cyclic3_with_repeated_leads(order):
 # PINNED_COUNTS' fields for _cyclic3_with_repeated_leads, the same under
 # every roster label
 REPEATED_LEAD_COUNTS = {
-    INDUCED_ORDER: (68, 86, 7, 5, 23, 8, 3),
-    WEIGHT_VECTOR: (45, 63, 7, 5, 23, 8, 3),
+    INDUCED_ORDER: (68, 84, 7, 5, 23, 8, 3),
+    WEIGHT_VECTOR: (45, 61, 7, 5, 23, 8, 3),
 }
 
 
@@ -370,14 +370,6 @@ def test_repeated_leading_monomials_match_the_scan(kind, monkeypatch):
         # same reducer probe order, so the same basis and work, by a linear scan
         assert scan_basis == basis and scan_red == red, label
         assert scan_counts[2:] == counts[2:], label
-
-
-def test_abort_on_pair_budget():
-    polys = realize(cyclic_system(5), DegRevLexOrder(5), PrimeField(32003))
-    res = buchberger(polys, max_pairs=1)
-    assert res.aborted and not res.completed
-    assert res.basis is None
-    assert res.stats.pairs_processed >= 1
 
 
 def test_abort_on_deadline():
@@ -506,7 +498,7 @@ def test_verifier_agrees_with_straightforward_oracle(system, drop):
     n = len(system[0][0][0])
     field = PrimeField(32003)
     for label in ORDER_LABELS:
-        ctx = PolyContext(n, field, order_factory(label)(n))
+        ctx = PolyContext(field, order_factory(label)(n))
         F = [ctx.polynomial(terms) for terms in system]
         if any(f.is_zero for f in F):
             return
@@ -573,6 +565,17 @@ def test_verify_failure_names_the_failing_check():
     assert verify_failure([], polys) == ("input", 0)
 
 
+def test_verify_deadline_polls_inside_one_reduction():
+    # one element forms no pairs, so only the poll inside the input's
+    # 20000-step top-reduction can see the deadline
+    ctx = _ctx(1, DegRevLexOrder(1))
+    g = ctx.polynomial([((1,), 1), ((0,), -1)])
+    f = ctx.polynomial([((20000,), 1), ((0,), -1)])
+    assert verify_failure([g], [f]) is None
+    with pytest.raises(TimeLimitExceeded):
+        verify_failure([g], [f], max_seconds=-1.0)
+
+
 def test_reorder_variables_by_occurrence():
     ctx = _ctx(3)
     # occurrences: x once, y five times, z twice
@@ -602,7 +605,7 @@ def test_audit_cached_weights_clean_run():
 
 def test_audit_cached_weights_flags_corruption():
     order = MatrixCachedOrder(subtotal_weight_matrix(2))
-    ctx = PolyContext(2, PrimeField(32003), order)
+    ctx = PolyContext(PrimeField(32003), order)
     from gbbench.poly import Polynomial
 
     good = order.attach((1, 1))

@@ -272,6 +272,10 @@ def test_certificate_rejects_inequivalent():
     n = 3
     assert orders_equivalent_certificate(identity_weight_matrix(n),
                                          degrevlex_weight_matrix(n)) is None
+    # L = diag(1, -1) is lower triangular, so only its diagonal rejects it
+    flipped = WeightMatrix([(1, 1), (0, 1)])
+    assert flipped @ degrevlex_weight_matrix(2).inverse() == WeightMatrix([(1, 0), (0, -1)])
+    assert orders_equivalent_certificate(degrevlex_weight_matrix(2), flipped) is None
 
 
 def test_oracle_agrees_with_certificate():

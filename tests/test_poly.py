@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from gbbench.corpus import katsura_system, realize
 from gbbench.modfield import PrimeField
 from gbbench.ordering import DegRevLexOrder, MatrixCachedOrder, SubtotalOrder, subtotal_weight_matrix
+from gbbench.groebner import EngineStats
 from gbbench.poly import (
+    _DEADLINE_STRIDE,
     PolyContext,
     Reducers,
     TimeLimitExceeded,
@@ -17,7 +19,7 @@ from gbbench.poly import (
 
 
 def _ctx(n=3, order=None):
-    return PolyContext(n, PrimeField(32003), order or DegRevLexOrder(n))
+    return PolyContext(PrimeField(32003), order or DegRevLexOrder(n))
 
 
 def test_polynomial_builder_sorts_and_merges():
@@ -235,15 +237,18 @@ def test_reduce_deadline_trips():
     ctx = _ctx(1, DegRevLexOrder(1))
     g = ctx.polynomial([((1,), 1), ((0,), 32002)])
     f = ctx.polynomial([((50000,), 1)])
+    stats = EngineStats()
     with pytest.raises(TimeLimitExceeded):
-        reduce(f, [g], deadline=time.perf_counter() - 1.0)
+        reduce(f, [g], deadline=time.perf_counter() - 1.0, stats=stats)
+    # the steps done up to the first poll are counted before the raise
+    assert stats.reduction_steps == _DEADLINE_STRIDE
     # same reduction without the deadline terminates with x^k -> 1
     assert reduce(f, [g]).as_tuples() == (((0,), 1),)
 
 
 def test_polynomial_with_cached_matrix_order():
     order = MatrixCachedOrder(subtotal_weight_matrix(3))
-    ctx = PolyContext(3, PrimeField(32003), order)
+    ctx = PolyContext(PrimeField(32003), order)
     f = ctx.polynomial([((1, 1, 0), 2), ((0, 0, 2), 3)])
     assert f.as_tuples() == (((1, 1, 0), 2), ((0, 0, 2), 3))
     # each handle carries its weight vector
