@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import statistics
 from dataclasses import asdict, dataclass, field, fields
@@ -21,6 +22,8 @@ from time import perf_counter
 
 from .corpus import SystemSpec, permute_variables, realize
 from .groebner import (
+    INDUCED_ORDER,
+    STRATEGIES,
     EngineStats,
     audit_cached_weights,
     buchberger,
@@ -35,14 +38,12 @@ from .ordering import (
     MatrixDirectOrder,
     MatrixOrder,
     SubtotalOrder,
-    WeightMatrix,
     degrevlex_weight_matrix,
     subtotal_weight_matrix,
 )
 
 # The order roster: label -> (strategy class, family weight matrix n -> W).
-# Matrix strategies are built from the family matrix, native ones from n;
-# weight-vector pair selection uses the family matrix for every label.
+# Matrix strategies are built from the family matrix, native ones from n.
 ORDERS = {
     "degrevlex": (DegRevLexOrder, degrevlex_weight_matrix),
     "subtotal": (SubtotalOrder, subtotal_weight_matrix),
@@ -57,16 +58,6 @@ DEFAULT_ORDERS = ("degrevlex", "grevlex-matrix", "subtotal-matrix", "subtotal")
 DEFAULT_REFERENCE = "grevlex-matrix"
 DEFAULT_TIME_LIMIT = 120.0
 
-# Pair-selection strategies by name -> (label, n) -> buchberger's strategy
-# argument: pick the pair whose lcm is smallest under the run's own order
-# (None), or by its weight vector under the label's family matrix.
-INDUCED_ORDER = "induced-order"
-WEIGHT_VECTOR = "weight-vector"
-STRATEGIES = {
-    INDUCED_ORDER: lambda label, n: None,
-    WEIGHT_VECTOR: lambda label, n: ORDERS[label][1](n),
-}
-
 
 def order_factory(label: str):
     """Factory n -> MonomialOrder for a roster label."""
@@ -78,11 +69,13 @@ def order_factory(label: str):
     return lambda n: cls(n, label=label)
 
 
-def strategy_for(label: str, n: int, kind: str) -> WeightMatrix | None:
-    """buchberger's strategy argument for a named selection strategy."""
+def strategy_for(label: str, n: int, kind: str) -> str:
+    """buchberger's strategy argument for a named selection strategy: the
+    name itself. The package never calls it; the benchmark in perfbench/
+    does."""
     if kind not in STRATEGIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    return STRATEGIES[kind](label, n)
+    return kind
 
 
 @dataclass(frozen=True)
@@ -107,8 +100,8 @@ class BenchmarkConfig:
             raise ValueError(f"reference {self.reference!r} not among the selected orders")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_seconds <= 0 or self.min_measure_seconds <= 0:
-            raise ValueError("time limits must be positive")
+        if not (0 < self.max_seconds < math.inf and 0 < self.min_measure_seconds < math.inf):
+            raise ValueError("time limits must be positive and finite")
 
     def ratio_labels(self) -> tuple:
         return tuple(f"{lab}/{self.reference}" for lab in self.orders if lab != self.reference)
@@ -189,10 +182,9 @@ def timed_run(spec: SystemSpec, order_label: str, config: BenchmarkConfig) -> Ru
     stats = None
     while True:
         order = factory(spec.nvars)
-        strategy = strategy_for(order_label, spec.nvars, config.strategy)
         t0 = perf_counter()
         polys = realize(spec, order, field_)
-        res = buchberger(polys, strategy=strategy, max_seconds=config.max_seconds)
+        res = buchberger(polys, strategy=config.strategy, max_seconds=config.max_seconds)
         elapsed = perf_counter() - t0
         m += 1
         if res.aborted:
@@ -490,9 +482,8 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = DEFAULT_MODULUS,
     for label in ORDER_LABELS:
         for kind in strategies:
             order = order_factory(label)(spec.nvars)
-            strategy = strategy_for(label, spec.nvars, kind)
             polys = realize(spec, order, field_)
-            res = buchberger(polys, strategy=strategy, max_seconds=max_seconds)
+            res = buchberger(polys, strategy=kind, max_seconds=max_seconds)
             if res.aborted:
                 aborted.append((label, kind))
                 if stop_on_abort:

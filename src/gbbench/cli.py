@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verification or admissibility check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,16 +17,15 @@ from .bench import (
     DEFAULT_ORDERS,
     DEFAULT_REFERENCE,
     DEFAULT_TIME_LIMIT,
-    INDUCED_ORDER,
     ORDER_LABELS,
     ORDERS,
     RENDERERS,
-    STRATEGIES,
     comparator_microbench,
     render_report,
     run_benchmark,
     verify_order_robustness,
 )
+from .groebner import INDUCED_ORDER, STRATEGIES
 from .modfield import DEFAULT_MODULUS, PrimeField
 from .ordering import (
     DegRevLexOrder,
@@ -58,10 +58,10 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
-    """The selected systems, after rejecting a nonpositive time limit, a bad
-    modulus or a polynomial that vanishes mod p before any work starts."""
-    if args.time_limit <= 0:
-        parser.error("--time-limit must be positive")
+    """The selected systems, after rejecting a time limit outside (0, inf), a
+    bad modulus or a polynomial that vanishes mod p before any work starts."""
+    if not 0 < args.time_limit < math.inf:
+        parser.error("--time-limit must be positive and finite")
     specs = []
     try:
         for key in args.bundled:

@@ -229,10 +229,11 @@ def parse_system(text: str, *, name: str | None = None, clear: bool = False) -> 
             polys.append(_parse_poly(rest, lineno, col0, varidx, names_lf, allow_rational=clear))
         else:
             raise ParseError(f"unknown key {key!r}", lineno, 1)
+    last = max(1, len(text.splitlines()))
     if variables is None:
-        raise ParseError("missing vars line", max(1, text.count(chr(10)) + 1), 1)
+        raise ParseError("missing vars line", last, 1)
     if not polys:
-        raise ParseError("system has no polynomials", max(1, text.count(chr(10)) + 1), 1)
+        raise ParseError("system has no polynomials", last, 1)
     spec = SystemSpec(
         name=sys_name if sys_name is not None else (name or "unnamed"),
         variables=variables,

@@ -19,7 +19,7 @@ from operator import attrgetter, le, mul
 from time import perf_counter
 from typing import NamedTuple
 
-from .ordering import MatrixCachedOrder, WeightMatrix
+from .ordering import MatrixCachedOrder
 from .poly import _DEADLINE_STRIDE, Polynomial, Reducers, TimeLimitExceeded, reduce, s_polynomial
 
 @dataclass
@@ -37,7 +37,7 @@ class CriticalPair(NamedTuple):
     j: int
     lcm_exps: tuple
     lcm_mask: int
-    key: object  # selection key (see _selection_keys); None until the next pick
+    key: object  # the strategy's pair_key, given when the pair is made (see STRATEGIES)
 
 
 @dataclass
@@ -79,7 +79,7 @@ class LeadTable:
             col.append(x)
 
 
-def _update(lead: LeadTable, P, eh, stats) -> None:
+def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
     """Add the leading monomial eh of a new basis element and rework P.
 
     Candidate pairs (i, t) are grouped by lcm; only divisibility-minimal lcm
@@ -89,8 +89,9 @@ def _update(lead: LeadTable, P, eh, stats) -> None:
     contributes its least-index representative. Existing pairs whose lcm is
     strictly dominated through the new leading monomial are pruned. A mask
     with a bit the other's mask lacks rules divisibility out before the
-    exponents are compared. Pruning keeps P's order; new pairs are appended
-    unkeyed for _pop_pair to sort in.
+    exponents are compared. P stays sorted ascending by key: pruning keeps
+    its order, and each new pair gets pair_key(lcm exps, i, t) and goes in
+    by binary search, about log2 |P| key comparisons.
     """
     t = len(lead.exps)
     exps = lead.exps
@@ -132,28 +133,17 @@ def _update(lead: LeadTable, P, eh, stats) -> None:
             if any(not masks[k] & mh for k in idxs):
                 skipped += len(idxs)
             else:
-                P.append(CriticalPair(i, t, e, em, None))
+                insort(P, CriticalPair(i, t, e, em, pair_key(e, i, t)), key=attrgetter("key"))
                 skipped += len(idxs) - 1
 
     stats.pairs_skipped_by_criteria += skipped
     lead.append(eh, mh)
 
 
-def _selection_keys(order, strategy: WeightMatrix | None) -> tuple:
-    """Sort keys of the pair queue and of the reducer table, as a pair of
-    functions: pair_key(pair) and reducer_key(lm handle, lm exps, index).
-
-    Under a selection matrix the keys are plain tuples: (weight vector of the
-    lcm, i, j) and (weight vector of the leading monomial, basis index).
-    Under the run's own order (strategy None) they wrap (handle, indices) in
-    a cmp_to_key object over order.cmp, so each probe of a binary search is
-    one cmp call, with ties broken by the indices. Keys are unique either
-    way, so a reducer lands after any with an equal leading monomial.
-    """
-    if strategy is not None:
-        wv = strategy.weight_vector
-        return (lambda pr: (wv(pr.lcm_exps), pr.i, pr.j),
-                lambda h, e, idx: (wv(e), idx))
+def _induced_order_keys(order) -> tuple:
+    """Keys under the run's own order: (handle, indices) wrapped in a
+    cmp_to_key object over order.cmp, so each probe of a binary search is one
+    cmp call, with ties broken by the indices."""
     cmp = order.cmp
     attach = order.attach
 
@@ -161,40 +151,38 @@ def _selection_keys(order, strategy: WeightMatrix | None) -> tuple:
         return cmp(a[0], b[0]) or (-1 if a[1:] < b[1:] else 1)
 
     K = cmp_to_key(by_order)
-    return (lambda pr: K((attach(pr.lcm_exps), pr.i, pr.j)),
+    return (lambda e, i, j: K((attach(e), i, j)),
             lambda h, e, idx: K((h, idx)))
 
 
-def _pop_pair(P, pair_key) -> CriticalPair:
-    """Remove and return the preferred pair, the one with the least key.
-
-    P is sorted ascending by key except for the pairs _update appended since
-    the last pick, which sit unkeyed at its end. They are keyed here, not
-    when made, so only lcms a pick sees are attached (matvec_products as
-    before), and each goes in by binary search: about log2 |P| comparisons
-    per new pair, none for the pick itself.
-    """
-    k = len(P)
-    while k and P[k - 1].key is None:
-        k -= 1
-    fresh = P[k:]
-    del P[k:]
-    for pr in fresh:
-        insort(P, pr._replace(key=pair_key(pr)), key=attrgetter("key"))
-    return P.pop(0)
+def _weight_vector_keys(order) -> tuple:
+    """Keys as plain tuples: the weight vector under order.matrix, compared
+    lexicographically, then the indices."""
+    wv = order.matrix.weight_vector
+    return (lambda e, i, j: (wv(e), i, j),
+            lambda h, e, idx: (wv(e), idx))
 
 
-def buchberger(F, *, strategy: WeightMatrix | None = None,
+# Selection strategies by name -> order -> (pair_key(lcm exps, i, j),
+# reducer_key(lm handle, lm exps, basis index)). Keys are unique, so a pair
+# queue or reducer table sorted by them has one order, and a reducer lands
+# after any with an equal leading monomial.
+INDUCED_ORDER = "induced-order"
+WEIGHT_VECTOR = "weight-vector"
+STRATEGIES = {INDUCED_ORDER: _induced_order_keys, WEIGHT_VECTOR: _weight_vector_keys}
+
+
+def buchberger(F, *, strategy: str = INDUCED_ORDER,
                max_seconds: float | None = None) -> GroebnerResult:
     """Groebner basis of the ideal generated by F under the context order.
 
-    The next critical pair is the one whose lcm is smallest: under the run's
-    own order when strategy is None, else by the lcm's weight vector under
-    the strategy matrix, compared lexicographically (ties fall back to pair
-    indices either way). The same preference orders the reducers. Both the
-    pair queue and the reducer table stay sorted by that preference, and an
-    entry goes in by binary search; under the run's own order every probe
-    is one call of the order's cmp.
+    The next critical pair is the one whose lcm is smallest under the named
+    selection strategy (see STRATEGIES): by the run's own order, or by the
+    lcm's weight vector under order.matrix, compared lexicographically (ties
+    fall back to pair indices either way). The same preference orders the
+    reducers. Both the pair queue and the reducer table stay sorted by that
+    preference, and an entry goes in by binary search; under the run's own
+    order every probe is one call of the order's cmp.
 
     Returns GroebnerResult(basis, stats, aborted). When the deadline passes,
     the result has aborted=True and basis=None, with the stats gathered so far;
@@ -215,15 +203,15 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
             raise ValueError("polynomials from different contexts")
         if f.is_zero:
             raise ValueError("zero polynomial in the input")
-    if strategy is not None and strategy.n != ctx.nvars:
-        raise ValueError(f"selection matrix is {strategy.n}x{strategy.n}, "
-                         f"context has {ctx.nvars} variables")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown selection strategy {strategy!r}; "
+                         f"known: {', '.join(STRATEGIES)}")
 
     order = ctx.order
     stats = EngineStats()
     start = perf_counter()
     deadline = start + max_seconds if max_seconds is not None else None
-    pair_key, reducer_key = _selection_keys(order, strategy)
+    pair_key, reducer_key = STRATEGIES[strategy](order)
 
     G: list = []
     lead = LeadTable(ctx.nvars)
@@ -238,7 +226,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
         # new pairs against the current G first, then g joins G and the reducers
         h = g.leading_monomial()
         eg = order.exps(h)
-        _update(lead, P, eg, stats)
+        _update(lead, P, eg, stats, pair_key)
         k = reducer_key(h, eg, len(G))
         G.append(g)
         at = bisect_right(red_keys, k)
@@ -253,7 +241,7 @@ def buchberger(F, *, strategy: WeightMatrix | None = None,
         while P:
             if deadline is not None and perf_counter() > deadline:
                 raise TimeLimitExceeded
-            pr = _pop_pair(P, pair_key)
+            pr = P.pop(0)
             s = s_polynomial(G[pr.i], G[pr.j])
             stats.pairs_processed += 1
             r = reduce(s, reducers, deadline=deadline, stats=stats)

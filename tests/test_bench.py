@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gbbench.bench import (
     DEFAULT_ORDERS,
     DEFAULT_REFERENCE,
-    INDUCED_ORDER,
     ORDER_LABELS,
     ORDERS,
-    WEIGHT_VECTOR,
     BenchmarkConfig,
     comparator_microbench,
     format_degree_multiset,
@@ -29,7 +27,7 @@ from gbbench.bench import (
     verify_order_robustness,
 )
 from gbbench.corpus import SystemSpec, cyclic_system, katsura_system, realize
-from gbbench.groebner import buchberger, reduce_basis, verify_groebner
+from gbbench.groebner import INDUCED_ORDER, WEIGHT_VECTOR, buchberger, reduce_basis, verify_groebner
 from gbbench.modfield import PrimeField
 from gbbench.ordering import (
     DegRevLexOrder,
@@ -37,7 +35,6 @@ from gbbench.ordering import (
     MatrixDirectOrder,
     SubtotalOrder,
     cmp_by_matrix,
-    subtotal_weight_matrix,
 )
 
 
@@ -105,6 +102,11 @@ def test_config_validation():
         BenchmarkConfig(min_measure_seconds=-1.0)
     with pytest.raises(ValueError):
         BenchmarkConfig(min_measure_seconds=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BenchmarkConfig(max_seconds=bad)
+        with pytest.raises(ValueError):
+            BenchmarkConfig(min_measure_seconds=bad)
 
 
 def test_config_defaults_and_ratio_labels():
@@ -159,9 +161,9 @@ def test_order_factory_matrix_families_disagree():
 
 
 def test_strategy_for_kinds():
-    assert strategy_for("degrevlex", 3, INDUCED_ORDER) is None
-    assert strategy_for("subtotal", 3, WEIGHT_VECTOR) == subtotal_weight_matrix(3)
-    assert strategy_for("subtotal-matrix-direct", 3, WEIGHT_VECTOR) == subtotal_weight_matrix(3)
+    assert strategy_for("degrevlex", 3, INDUCED_ORDER) == INDUCED_ORDER
+    assert strategy_for("subtotal", 3, WEIGHT_VECTOR) == WEIGHT_VECTOR
+    assert strategy_for("subtotal-matrix-direct", 3, WEIGHT_VECTOR) == WEIGHT_VECTOR
     with pytest.raises(ValueError):
         strategy_for("degrevlex", 3, "best-first")
 

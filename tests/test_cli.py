@@ -110,7 +110,8 @@ def test_run_usage_errors(tmp_path, capsys):
     vanishing = tmp_path / "vanishing.txt"
     vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
     for bad in (["--modulus", "4"], ["--modulus", str(2**89)], ["--time-limit", "0"],
-                ["--seed", "1"], ["--system", str(vanishing)]):
+                ["--time-limit", "nan"], ["--time-limit", "inf"], ["--min-measure", "nan"],
+                ["--min-measure", "inf"], ["--seed", "1"], ["--system", str(vanishing)]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["run", "--cyclic", "3"] + FAST + bad)
@@ -121,7 +122,8 @@ def test_run_usage_errors(tmp_path, capsys):
 def test_verify_usage_errors(tmp_path, capsys):
     vanishing = tmp_path / "vanishing.txt"
     vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
-    for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--system", str(vanishing)]):
+    for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--time-limit", "nan"],
+                ["--time-limit", "inf"], ["--system", str(vanishing)]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cyclic", "3"] + bad)
         assert exc.value.code == 2, bad

@@ -102,9 +102,9 @@ def test_parse_error_positions():
     ("vars:   \n", 1, 6, "vars line lists no variables"),
     ("vars: x 1y\n", 1, 9, "bad variable name '1y'"),
     ("vars: x\nterm: x\n", 2, 1, "unknown key 'term'"),
-    # the two end-of-text checks point one line past the last newline
-    ("name: a\n", 2, 1, "missing vars line"),
-    ("vars: x\n", 2, 1, "system has no polynomials"),
+    # the two end-of-text checks point at the last line
+    ("name: a\n", 1, 1, "missing vars line"),
+    ("vars: x\n", 1, 1, "system has no polynomials"),
 ])
 def test_parse_error_message_line_and_column(text, line, col, msg):
     with pytest.raises(ParseError) as err:
