@@ -54,7 +54,9 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clear-denominators", action="store_true",
                    help="accept rational coefficients in system files and clear them")
     p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT, metavar="SEC")
+    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT, metavar="SEC",
+                   help="limit for each (system, order, strategy) configuration, "
+                        "not for the whole command")
 
 
 def _collect_systems(args, parser: argparse.ArgumentParser) -> list:

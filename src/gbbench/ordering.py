@@ -299,17 +299,25 @@ def orders_equivalent_certificate(w1: WeightMatrix, w2: WeightMatrix):
     return L
 
 
-# Most pairs the oracle enumerates: 10^7 pairs took 22 s at n = 4 (Python 3.11,
-# one Xeon core), so a refused request would have run for minutes or longer.
+# Largest (D + 1)^(2n) pair space the oracle accepts. The bound fixes which
+# requests are refused; the oracle itself compares at most 39,062 difference
+# vectors under it (n = 7, D = 2).
 ORACLE_MAX_PAIRS = 10**7
 
 
 def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int):
-    """Brute-force check of order agreement on all exponent vectors with
-    entries <= max_degree. Returns None on agreement, else the first
-    disagreeing pair (a, b) in iteration order. Raises ValueError, before
-    any comparison, when the (max_degree + 1)^(2n) pairs exceed
-    ORACLE_MAX_PAIRS."""
+    """Brute-force check of order agreement on all pairs of exponent vectors
+    with entries <= max_degree. Returns None on agreement, else the first
+    disagreeing pair (a, b) of a `for a: for b:` scan of the box. Raises
+    ValueError, before any comparison, when the (max_degree + 1)^(2n) pairs
+    exceed ORACLE_MAX_PAIRS.
+
+    A matrix order decides a vs b from W(a - b) alone, so only the
+    ((2D + 1)^n - 1) / 2 differences d in [-D, D]^n with a positive first
+    nonzero entry are compared, as the pair (d+, d-) of their positive and
+    negative parts; -d gets the opposite verdict. The earliest pair with
+    difference d or -d is (d-, d+), so the first disagreeing pair is the
+    least such (d-, d+)."""
     if w1.n != w2.n:
         raise ValueError(f"size mismatch: {w1.n} vs {w2.n}")
     n = w1.n
@@ -319,12 +327,17 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
     if pairs > ORACLE_MAX_PAIRS:
         raise ValueError(f"oracle would compare {pairs} pairs (n={n}, degree {max_degree}); "
                          f"the bound is {ORACLE_MAX_PAIRS}")
-    space = list(product(range(max_degree + 1), repeat=n))
-    for a in space:
-        for b in space:
-            if cmp_by_matrix(w1, a, b) != cmp_by_matrix(w2, a, b):
-                return (a, b)
-    return None
+    zero = (0,) * n
+    witness = None
+    for d in product(range(-max_degree, max_degree + 1), repeat=n):
+        if d <= zero:  # first nonzero entry not positive: -d covers it
+            continue
+        pos = tuple(x if x > 0 else 0 for x in d)
+        neg = tuple(-x if x < 0 else 0 for x in d)
+        if cmp_by_matrix(w1, pos, neg) != cmp_by_matrix(w2, pos, neg):
+            if witness is None or (neg, pos) < witness:
+                witness = (neg, pos)
+    return witness
 
 
 # --------------------------------------------------------------------------

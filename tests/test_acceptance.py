@@ -26,6 +26,7 @@ from gbbench.corpus import cyclic_system, katsura_system, load_bundled, parse_sy
 from gbbench.groebner import buchberger, reduce_basis
 from gbbench.modfield import PrimeField
 from gbbench.ordering import (
+    ORACLE_MAX_PAIRS,
     WeightMatrix,
     cmp_by_matrix,
     cmp_degrevlex,
@@ -33,6 +34,7 @@ from gbbench.ordering import (
     degrevlex_weight_matrix,
     is_admissible,
     orders_equivalent_certificate,
+    orders_equivalent_oracle,
     subtotal_weight_matrix,
 )
 
@@ -110,6 +112,10 @@ def test_criterion_2_admissibility():
            "negative-leading-entry matrices rejected")
 
 
+# n -> largest D with (D + 1)^(2n) <= ORACLE_MAX_PAIRS
+ORACLE_DEGREES = {2: 55, 3: 13, 4: 6, 5: 4, 6: 2, 7: 2, 8: 1}
+
+
 def test_criterion_3_equivalence_certificate():
     for n in range(2, 9):
         wdeg = degrevlex_weight_matrix(n)
@@ -119,8 +125,13 @@ def test_criterion_3_equivalence_certificate():
         expected = tuple(tuple(1 if j <= i else 0 for j in range(n)) for i in range(n))
         assert cert.rows == WeightMatrix(expected).rows, n
         assert (cert @ wdeg) == wsub, n
+        # brute force at the largest degree the oracle's bound admits
+        degree = ORACLE_DEGREES[n]
+        assert (degree + 1) ** (2 * n) <= ORACLE_MAX_PAIRS < (degree + 2) ** (2 * n), n
+        assert orders_equivalent_oracle(wdeg, wsub, degree) is None, n
     _ok(3, "all-ones lower-triangular certificate with L @ W_grevlex == "
-           "W_subtotal exactly, n=2..8")
+           "W_subtotal exactly, n=2..8, and no disagreeing pair with entries "
+           "up to the oracle's largest admitted degree")
 
 
 def test_criterion_4_cross_order_basis_identity(robustness):

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -180,6 +181,21 @@ def test_verify_aborted_exit_code(capsys):
     assert "ABORTED" in capsys.readouterr().out
 
 
+def test_verify_time_limit_is_per_configuration(tmp_path, capsys):
+    # each configuration gets the full limit and the first abort ends the
+    # system, so one slow configuration costs about one limit
+    path = tmp_path / "slow.txt"
+    path.write_text("vars: x\npoly: x^1000000 - 1\npoly: x^3 - 1\n")
+    start = time.perf_counter()
+    code = main(["verify", "--system", str(path), "--time-limit", "1",
+                 "--strategies", "induced-order"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert capsys.readouterr().out == ("slow: ABORTED at degrevlex/induced-order "
+                                       "after 0 completed configs\n")
+    assert elapsed < 10.0, elapsed
+
+
 def test_microbench(capsys):
     code = main(["microbench", "--vars", "3", "--samples", "10000"])
     out = capsys.readouterr().out
@@ -239,7 +255,7 @@ def test_check_matrix_inequivalence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "no certificate" in out
-    assert "orders differ" in out
+    assert "oracle: orders differ on (0, 0, 2) vs (0, 1, 0)" in out.splitlines()
 
 
 def test_check_matrix_input_errors(tmp_path, capsys):

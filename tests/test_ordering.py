@@ -284,11 +284,71 @@ def test_oracle_agrees_with_certificate():
     assert orders_equivalent_oracle(wg, ws, 4) is None
     witness = orders_equivalent_oracle(identity_weight_matrix(2),
                                        degrevlex_weight_matrix(2), 4)
-    assert witness is not None
+    assert witness == ((0, 2), (1, 0))
     a, b = witness
     # the witness pair really is ordered differently by the two matrices
     assert cmp_by_matrix(identity_weight_matrix(2), a, b) != cmp_by_matrix(
         degrevlex_weight_matrix(2), a, b)
+
+
+def _pairs_oracle(w1, w2, max_degree):
+    """Reference oracle: every pair of exponent vectors in the box, in order."""
+    space = list(itertools.product(range(max_degree + 1), repeat=w1.n))
+    for a in space:
+        for b in space:
+            if cmp_by_matrix(w1, a, b) != cmp_by_matrix(w2, a, b):
+                return (a, b)
+    return None
+
+
+def _perturbed(rng, w, entries):
+    """w with `entries` random positions set to random values in -1..2."""
+    rows = [list(row) for row in w.rows]
+    for _ in range(entries):
+        rows[rng.randrange(w.n)][rng.randrange(w.n)] = rng.randint(-1, 2)
+    return WeightMatrix(rows)
+
+
+def test_oracle_matches_pair_enumeration():
+    rng = random.Random(1109)
+    families = (degrevlex_weight_matrix, subtotal_weight_matrix, identity_weight_matrix)
+    verdicts = []
+    for _ in range(320):
+        n, degree = rng.randint(1, 4), rng.randint(0, 3)
+        w1 = _perturbed(rng, rng.choice(families)(n), rng.randint(0, 1))
+        w2 = _perturbed(rng, rng.choice(families)(n), rng.randint(0, 2))
+        want = _pairs_oracle(w1, w2, degree)
+        assert orders_equivalent_oracle(w1, w2, degree) == want, (w1, w2, degree)
+        verdicts.append(want)
+    disagree = sum(v is not None for v in verdicts)
+    assert len(verdicts) // 3 <= disagree <= len(verdicts) - len(verdicts) // 4
+
+
+def test_cmp_by_matrix_reads_only_the_difference():
+    rng = random.Random(1110)
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        w = WeightMatrix([[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)])
+        a = tuple(rng.randrange(0, 6) for _ in range(n))
+        b = tuple(rng.randrange(0, 6) for _ in range(n))
+        pos = tuple(max(x - y, 0) for x, y in zip(a, b))
+        neg = tuple(max(y - x, 0) for x, y in zip(a, b))
+        assert cmp_by_matrix(w, a, b) == cmp_by_matrix(w, pos, neg)
+
+
+def test_lower_triangular_transform_keeps_the_order():
+    rng = random.Random(1111)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        while True:
+            w = WeightMatrix([[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)])
+            if is_admissible(w):
+                break
+        L = WeightMatrix([[rng.randint(1, 3) if i == j else rng.randint(-2, 2) if j < i else 0
+                           for j in range(n)] for i in range(n)])
+        assert orders_equivalent_certificate(w, L @ w) == L
+        degree = {1: 20, 2: 6, 3: 3, 4: 2, 5: 1}[n]
+        assert orders_equivalent_oracle(w, L @ w, degree) is None
 
 
 def test_oracle_refuses_more_than_its_bound():
