@@ -59,6 +59,13 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
                         "not for the whole command")
 
 
+def _read_text(path, parser: argparse.ArgumentParser) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        parser.error(f"cannot read {path}: {e}")
+
+
 def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
     """The selected systems, after rejecting a time limit outside (0, inf), a
     bad modulus or a polynomial that vanishes mod p before any work starts."""
@@ -87,11 +94,7 @@ def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
                 paths.append(p)
         for p in paths:
             try:
-                text = p.read_text()
-            except OSError as e:
-                parser.error(f"cannot read {p}: {e}")
-            try:
-                specs.append(corpus.parse_system(text, name=p.stem,
+                specs.append(corpus.parse_system(_read_text(p, parser), name=p.stem,
                                                  clear=args.clear_denominators))
             except corpus.ParseError as e:
                 parser.error(f"{p}: {e}")
@@ -126,6 +129,11 @@ def cmd_run(args, parser) -> int:
         )
     except ValueError as e:
         parser.error(str(e))
+    if args.output not in (None, "-"):
+        try:  # fail before the benchmark; the report itself is written at the end
+            open(args.output, "a").close()
+        except OSError as e:
+            parser.error(f"cannot write {args.output}: {e}")
     report = run_benchmark(specs, config)
     _write_output(render_report(report, args.format), args.output)
     all_aborted = all(cell.aborted for row in report.rows for cell in row.cells.values())
@@ -187,11 +195,7 @@ def cmd_microbench(args, parser) -> int:
 
 def _load_matrix(path: str, parser) -> WeightMatrix:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
-        parser.error(f"cannot read {path}: {e}")
-    try:
-        return WeightMatrix.from_text(text)
+        return WeightMatrix.from_text(_read_text(path, parser))
     except ValueError as e:
         parser.error(f"{path}: {e}")
 
@@ -199,7 +203,18 @@ def _load_matrix(path: str, parser) -> WeightMatrix:
 def cmd_check_matrix(args, parser) -> int:
     if args.oracle_degree is not None and args.against is None:
         parser.error("--oracle-degree needs --against")
+    # every input error, the oracle's bound included, is found before any output
     w = _load_matrix(args.matrix, parser)
+    w2 = witness = None
+    if args.against:
+        w2 = _load_matrix(args.against, parser)
+        if w2.n != w.n:
+            parser.error(f"size mismatch: {w.n} vs {w2.n}")
+        if args.oracle_degree is not None:
+            try:
+                witness = orders_equivalent_oracle(w, w2, args.oracle_degree)
+            except ValueError as e:
+                parser.error(str(e))
     admissible = is_admissible(w)
     print(f"{args.matrix}: {w.n}x{w.n}, admissible={'yes' if admissible else 'no'}")
     bad = not admissible
@@ -214,10 +229,7 @@ def cmd_check_matrix(args, parser) -> int:
         except ValueError:
             cert = None
         print(f"  same order as {fam_name}(n={w.n}): {'yes' if cert is not None else 'no'}")
-    if args.against:
-        w2 = _load_matrix(args.against, parser)
-        if w2.n != w.n:
-            parser.error(f"size mismatch: {w.n} vs {w2.n}")
+    if w2 is not None:
         cert = None
         try:
             cert = orders_equivalent_certificate(w2, w)
@@ -228,16 +240,11 @@ def cmd_check_matrix(args, parser) -> int:
         else:
             print(f"equivalent to {args.against}: no certificate")
             bad = True
-        if args.oracle_degree is not None:
-            try:
-                witness = orders_equivalent_oracle(w, w2, args.oracle_degree)
-            except ValueError as e:
-                parser.error(str(e))
-            if witness is None:
-                print(f"oracle (entries <= {args.oracle_degree}): orders agree")
-            else:
-                print(f"oracle: orders differ on {witness[0]} vs {witness[1]}")
-                bad = True
+        if witness is not None:
+            print(f"oracle: orders differ on {witness[0]} vs {witness[1]}")
+            bad = True
+        elif args.oracle_degree is not None:
+            print(f"oracle (entries <= {args.oracle_degree}): orders agree")
     return EXIT_CHECK_FAILED if bad else EXIT_OK
 
 

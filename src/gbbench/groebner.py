@@ -46,10 +46,6 @@ class GroebnerResult:
     stats: EngineStats
     aborted: bool = False
 
-    @property
-    def completed(self) -> bool:
-        return not self.aborted
-
 
 class LeadTable:
     """Leading monomials of the partial basis, by basis index, three ways.
@@ -310,8 +306,8 @@ def _packed_layout(order, G, F):
       guard bit of every field where a's exponent is nonzero: the support
       mask of a, in two integer operations.
     """
-    rows = order.matrix.int_rows
-    if rows is None or any(v != 1 for v in rows[0]):
+    rows = order.matrix.rows
+    if any(not isinstance(v, int) for row in rows for v in row) or any(v != 1 for v in rows[0]):
         raise ValueError(f"verify_groebner needs a degree-first order with integer weights; "
                          f"{order.label} is not one")
     n = order.n

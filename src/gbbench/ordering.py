@@ -83,12 +83,14 @@ def cmp_lex(a, b) -> int:
 class WeightMatrix:
     """Square matrix of exact rationals defining a term order.
 
-    Monomial a precedes b when W @ a precedes W @ b lexicographically. Rows
-    are stored as Fractions; an all-integer fast path is kept for weight
-    vectors so the hot loops stay in int arithmetic.
+    Monomial a precedes b when W @ a precedes W @ b lexicographically. An
+    integral entry is stored as an int and any other as a Fraction, so integer
+    matrices keep weight vectors and comparisons in int arithmetic. Fraction(k)
+    == k and the two hash alike, so ==, hash and the text forms do not depend
+    on the type.
     """
 
-    __slots__ = ("rows", "n", "int_rows")
+    __slots__ = ("rows", "n")
 
     def __init__(self, rows):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -98,18 +100,13 @@ class WeightMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError(f"weight matrix must be square: {n} rows, row of length {len(row)}")
-        self.rows = rows
+        self.rows = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in rows)
         self.n = n
-        if all(x.denominator == 1 for row in rows for x in row):
-            self.int_rows = tuple(tuple(int(x) for x in row) for row in rows)
-        else:
-            self.int_rows = None
 
     def weight_vector(self, a) -> tuple:
         if len(a) != self.n:
             raise ValueError(f"exponent vector of length {len(a)} against {self.n}x{self.n} matrix")
-        rows = self.int_rows if self.int_rows is not None else self.rows
-        return tuple([sum(map(_mul, row, a)) for row in rows])
+        return tuple([sum(map(_mul, row, a)) for row in self.rows])
 
     def __matmul__(self, other) -> "WeightMatrix":
         if not isinstance(other, WeightMatrix):
@@ -124,7 +121,8 @@ class WeightMatrix:
     def inverse(self) -> "WeightMatrix":
         """Exact inverse by Gauss-Jordan elimination; ValueError if singular."""
         n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
+        # Fractions throughout: an int pivot would divide to a float
+        aug = [list(map(Fraction, row + tuple(int(i == j) for j in range(n)))) for i, row in enumerate(self.rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
             if piv is None:
@@ -252,8 +250,7 @@ def cmp_by_matrix(w: WeightMatrix, a, b) -> int:
     _check_pair(a, b)
     if len(a) != w.n:
         raise ValueError(f"exponent vector of length {len(a)} against {w.n}x{w.n} matrix")
-    rows = w.int_rows if w.int_rows is not None else w.rows
-    for row in rows:
+    for row in w.rows:
         s = 0
         for wj, x, y in zip(row, a, b):
             if wj:
@@ -447,8 +444,7 @@ class MatrixDirectOrder(MatrixOrder):
 
     def __init__(self, matrix: WeightMatrix, label: str | None = None):
         super().__init__(matrix, label)
-        rows = matrix.int_rows if matrix.int_rows is not None else matrix.rows
-        self._nz_rows = tuple(tuple((j, wj) for j, wj in enumerate(row) if wj) for row in rows)
+        self._nz_rows = tuple(tuple((j, wj) for j, wj in enumerate(row) if wj) for row in matrix.rows)
 
     def cmp(self, a, b) -> int:
         self.comparisons += 1

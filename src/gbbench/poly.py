@@ -35,9 +35,6 @@ class PolyContext:
         self.field = field
         self.order = order
 
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
-
     def polynomial(self, pairs) -> "Polynomial":
         """Build from (exps, coeff) pairs; any order, duplicates merged."""
         order = self.order
@@ -144,30 +141,10 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[0][0]
 
-    def leading_coeff(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
     def as_tuples(self) -> tuple:
         """Order-independent view: ((exps, coeff), ...) in storage order."""
         exps = self.context.order.exps
         return tuple((exps(h), c) for h, c in self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self - (-other)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        _same_context(self, other)
-        return Polynomial(self.context, tuple(_merge(self.context, self.terms, other.terms)))
-
-    def __neg__(self):
-        p = self.context.field.p
-        return Polynomial(self.context, tuple((h, p - c) for h, c in self.terms))
 
     def _mul_handle(self, h, coeff: int) -> "Polynomial":
         """Multiply by nonzero coeff * monomial(h); term order survives translation."""
@@ -178,22 +155,13 @@ class Polynomial:
             return Polynomial(self.context, tuple((mul(ht, h), ct) for ht, ct in self.terms))
         return Polynomial(self.context, tuple((mul(ht, h), ct * c % p) for ht, ct in self.terms))
 
-    def mul_scalar(self, coeff: int) -> "Polynomial":
-        p = self.context.field.p
-        c = coeff % p
-        if c == 0 or not self.terms:
-            return Polynomial(self.context, ())
-        if c == 1:
-            return self
-        return Polynomial(self.context, tuple((h, ct * c % p) for h, ct in self.terms))
-
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.terms or self.terms[0][1] == 1:
             return self
-        lc = self.terms[0][1]
-        if lc == 1:
-            return self
-        return self.mul_scalar(self.context.field.inv(lc))
+        field = self.context.field
+        p = field.p
+        c = field.inv(self.terms[0][1])
+        return Polynomial(self.context, tuple((h, ct * c % p) for h, ct in self.terms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -1,14 +1,22 @@
 import csv
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
-from gbbench import bench, cli
+from gbbench import bench, cli, corpus
 from gbbench.cli import main
 from gbbench.ordering import degrevlex_weight_matrix, identity_weight_matrix, subtotal_weight_matrix
 
 FAST = ["--min-measure", "1e-9", "--orders", "degrevlex,subtotal", "--reference", "degrevlex"]
+
+
+def _non_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff2\n1 0\n0 1\n")
+    return str(path)
 
 
 def _write_matrix(tmp_path, name, w):
@@ -110,27 +118,39 @@ def test_run_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
     vanishing = tmp_path / "vanishing.txt"
     vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
+    latin = _non_utf8(tmp_path)
+    missing = str(tmp_path / "missing" / "dir" / "r.csv")
+    named = {latin: "read", str(tmp_path): "write", missing: "write"}
     for bad in (["--modulus", "4"], ["--modulus", str(2**89)], ["--time-limit", "0"],
                 ["--time-limit", "nan"], ["--time-limit", "inf"], ["--min-measure", "nan"],
-                ["--min-measure", "inf"], ["--seed", "1"], ["--system", str(vanishing)]):
+                ["--min-measure", "inf"], ["--seed", "1"], ["--system", str(vanishing)],
+                ["--system", latin], ["-o", str(tmp_path)], ["-o", missing]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["run", "--cyclic", "3"] + FAST + bad)
         assert exc.value.code == 2, bad
-        assert capsys.readouterr().err.startswith("usage: gbbench run "), bad
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: gbbench run "), bad
+        if bad[1] in named:
+            assert err.splitlines()[-1].startswith(
+                f"gbbench run: error: cannot {named[bad[1]]} {bad[1]}: "), err
+    assert not Path(missing).parent.exists()
 
 
 def test_verify_usage_errors(tmp_path, capsys):
     vanishing = tmp_path / "vanishing.txt"
     vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
+    latin = _non_utf8(tmp_path)
     for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--time-limit", "nan"],
-                ["--time-limit", "inf"], ["--system", str(vanishing)]):
+                ["--time-limit", "inf"], ["--system", latin], ["--system", str(vanishing)]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cyclic", "3"] + bad)
         assert exc.value.code == 2, bad
         out, err = capsys.readouterr()
         assert "ABORTED" not in out
         assert err.startswith("usage: gbbench verify "), bad
+        if bad[1] == latin:
+            assert err.splitlines()[-1].startswith(f"gbbench verify: error: cannot read {latin}: ")
     assert "polynomial 1 vanishes mod 32003" in err
 
 
@@ -263,6 +283,15 @@ def test_check_matrix_input_errors(tmp_path, capsys):
         main(["check-matrix", str(tmp_path / "missing.txt")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: gbbench check-matrix ")
+    latin = _non_utf8(tmp_path)
+    ok = _write_matrix(tmp_path, "ok.txt", subtotal_weight_matrix(2))
+    for argv in ([latin], [ok, "--against", latin]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-matrix"] + argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: gbbench check-matrix ")
+        assert err.splitlines()[-1].startswith(f"gbbench check-matrix: error: cannot read {latin}: ")
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 2 3\n")
     with pytest.raises(SystemExit) as exc:
@@ -270,15 +299,18 @@ def test_check_matrix_input_errors(tmp_path, capsys):
     assert exc.value.code == 2
     two = _write_matrix(tmp_path, "two.txt", subtotal_weight_matrix(2))
     three = _write_matrix(tmp_path, "three.txt", subtotal_weight_matrix(3))
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["check-matrix", two, "--against", three])
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     # (4 + 1)^(2 * 8) pairs is far above the oracle's bound
     sub8 = _write_matrix(tmp_path, "sub8.txt", subtotal_weight_matrix(8))
     grev8 = _write_matrix(tmp_path, "grev8.txt", degrevlex_weight_matrix(8))
     with pytest.raises(SystemExit) as exc:
         main(["check-matrix", sub8, "--against", grev8, "--oracle-degree", "4"])
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     # the oracle compares against --against, so it is refused without it
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -287,3 +319,18 @@ def test_check_matrix_input_errors(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1] == "gbbench check-matrix: error: --oracle-degree needs --against"
+
+
+def test_readme_command_lines_parse():
+    # every example in README's "Command line" block is a valid invocation
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("gbbench ")]
+    assert {shlex.split(ln)[1] for ln in lines} == {"run", "verify", "microbench", "check-matrix"}
+    for line in lines:
+        args, unknown = cli.build_parser().parse_known_args(shlex.split(line)[1:])
+        assert unknown == [], line
+        if args.command == "run":
+            assert set(args.orders.split(",")) <= set(bench.ORDER_LABELS), line
+        if args.command in ("run", "verify"):
+            assert set(args.bundled) <= {"all", *corpus.BUNDLED_KEYS}, line

@@ -55,7 +55,7 @@ def test_buchberger_validates_input():
     with pytest.raises(ValueError):
         buchberger([])
     with pytest.raises(ValueError):
-        buchberger([ctx.zero()])
+        buchberger([ctx.polynomial([])])
     f = ctx.polynomial([((1, 0), 1)])
     g = _ctx(2).polynomial([((0, 1), 1)])
     with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ def test_buchberger_univariate_gcd():
     f = ctx.polynomial([((3,), 1), ((2,), 32003 - 5), ((1,), 8), ((0,), 32003 - 4)])
     g = ctx.polynomial([((3,), 1), ((2,), 32003 - 6), ((1,), 11), ((0,), 32003 - 6)])
     res = buchberger([f, g])
-    assert res.completed and not res.aborted
+    assert not res.aborted
     red = reduce_basis(res.basis)
     assert [p.as_tuples() for p in red] == [
         (((2,), 1), ((1,), 32000), ((0,), 2))]
@@ -399,7 +399,7 @@ def test_reduce_basis_properties():
     # monic, pairwise minimal leading monomials, ascending order
     lms = [order.exps(p.leading_monomial()) for p in red]
     for i, p in enumerate(red):
-        assert p.leading_coeff() == 1
+        assert p.terms[0][1] == 1
         for j, q in enumerate(red):
             if i != j:
                 assert not all(x <= y for x, y in zip(lms[j], lms[i])) or i == j
@@ -513,7 +513,7 @@ def test_verifier_agrees_with_straightforward_oracle(system, drop):
         if any(f.is_zero for f in F):
             return
         res = buchberger(F, max_seconds=20.0)
-        assert res.completed, label
+        assert not res.aborted, label
         red = reduce_basis(res.basis)
         short = red[:drop % len(red)] + red[drop % len(red) + 1:]
         assert verify_failure(red, F) is None and _verify_oracle(red, F) is None, label
@@ -571,7 +571,7 @@ def test_verify_failure_names_the_failing_check():
     assert 0 <= i < j < len(polys)
     assert not reduce(s_polynomial(polys[i], polys[j]), polys).is_zero
     # indices count the caller's zero polynomials, which form no pairs
-    assert verify_failure([polys[0].context.zero()] + polys) == (i + 1, j + 1)
+    assert verify_failure([polys[0].context.polynomial([])] + polys) == (i + 1, j + 1)
     assert verify_failure([], polys) == ("input", 0)
 
 

@@ -128,17 +128,17 @@ def test_weight_vector_prefix_sums():
 
 def _weight_vector_generator_form(w, a):
     # the earlier body: a generator per row that skips zero weights
-    rows = w.int_rows if w.int_rows is not None else w.rows
-    return tuple(sum(x * y for x, y in zip(row, a) if x) for row in rows)
+    return tuple(sum(x * y for x, y in zip(row, a) if x) for row in w.rows)
 
 
 def test_weight_vector_equals_generator_form():
     rng = random.Random(5)
     half = WeightMatrix([(1, 1, 1, 1), (Fraction(1, 2), 0, Fraction(-3, 4), 0),
                          (0, 1, 0, 0), (0, 0, Fraction(2, 3), 1)])
-    assert half.int_rows is None
+    # an integral entry is stored as an int, any other as a Fraction
+    assert [type(x) for x in half.rows[1]] == [Fraction, int, Fraction, int]
     zeros = WeightMatrix([(1, 0, 2, 0), (0, 0, 0, 3), (0, 1, 0, 0), (0, 0, -1, 0)])
-    assert zeros.int_rows is not None
+    assert {type(x) for row in zeros.rows for x in row} == {int}
     matrices = [half, zeros]
     for n in (1, 2, 5, 9):
         matrices += [subtotal_weight_matrix(n), degrevlex_weight_matrix(n)]
@@ -159,6 +159,10 @@ def test_matrix_matmul_and_inverse():
     inv = w.inverse()
     assert inv @ w == ident
     assert w @ inv == ident
+    # an int pivot still divides exactly
+    half = WeightMatrix([(2, 0), (1, 1)]).inverse()
+    assert half.rows == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
+    assert [type(x) for row in half.rows for x in row] == [Fraction, int, Fraction, int]
 
 
 def test_singular_matrix_detected():
@@ -197,6 +201,12 @@ def test_matrix_text_round_trip():
     w = degrevlex_weight_matrix(5)
     again = WeightMatrix.from_text(w.to_text())
     assert again == w
+    # equality, hash and text forms do not depend on how an entry was given
+    given = [((2, Fraction(1, 2)), (0, 1)), ((Fraction(4, 2), 0.5), (Fraction(0), Fraction(1)))]
+    a, b = (WeightMatrix(rows) for rows in given)
+    assert a == b and hash(a) == hash(b)
+    assert a.to_text() == b.to_text() == "2\n2 1/2\n0 1\n"
+    assert repr(a) == repr(b) == "WeightMatrix([['2', '1/2'], ['0', '1']])"
 
 
 def test_matrix_from_text_comments_and_fractions():
