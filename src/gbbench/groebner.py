@@ -476,8 +476,9 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     Confirms every S-polynomial of G reduces to zero (no pair is skipped, not
     even coprime ones) and, when F is given, that every input polynomial
     reduces to zero, so the input ideal is contained in the one G generates.
-    Normal forms are recomputed on the verifier's own heap accumulator rather
-    than the engine's merge reducer, so the two routes share no arithmetic.
+    Normal forms are recomputed on the verifier's own heap of packed keys
+    rather than the engine's cmp-sorted reducer, so the two routes share no
+    arithmetic.
     Monomials and keys are packed into single integers, which needs the
     order's weight matrix to be integer and degree-first (every order this
     package ships); any other order raises ValueError. verify_failure names

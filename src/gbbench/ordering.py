@@ -345,6 +345,8 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
 # stores for one power product; native strategies use the bare exponent
 # tuple, the cached-matrix strategy pairs it with its weight vector so a
 # comparison is a single tuple comparison and a product is a vector add.
+# Equal monomials must get equal, hashable handles: the reducer keys its
+# remainder by handle, so only ordering decisions go through cmp.
 # Every strategy carries its weight matrix: the natives their family's, the
 # matrix strategies the one they are built from.
 

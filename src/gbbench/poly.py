@@ -9,8 +9,9 @@ serves native comparators and matrix orders with cached weight vectors.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cmp_to_key
-from itertools import compress
+from itertools import compress, islice
 from time import perf_counter
 
 from .modfield import PrimeField
@@ -66,7 +67,8 @@ def _same_context(f: "Polynomial", g: "Polynomial") -> None:
 
 
 def _merge(ctx: PolyContext, A, B, ia: int = 0, ib: int = 0) -> list:
-    """Merge two descending term sequences as A - B from the given offsets."""
+    """Merge two descending term sequences as A - B from the given offsets;
+    s_polynomial's cancelling merge of its two cofactor multiples."""
     cmp = ctx.order.cmp
     p = ctx.field.p
     out = []
@@ -257,17 +259,27 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     order = ctx.order
     div = order.div
     mul = order.mul
+    key = cmp_to_key(order.cmp)
     p = ctx.field.p
     mask = G.mask
     entries = G.entries
 
-    work = list(f.terms)
+    # The remainder is acc, handle -> [unreduced coefficient], with its
+    # distinct monomials in pending, ascending under the order. A multiple's
+    # terms coalesce into acc by lookup (the one-item list lets a repeated
+    # monomial cost one hash); only a monomial new to the remainder costs
+    # comparisons, one cmp per bisection probe. The head is pending's last
+    # entry, so taking it costs none; a head that cancelled to 0 is skipped.
+    acc = {h: [c] for h, c in f.terms}
+    pending = [key(h) for h, _ in reversed(f.terms)]
     out: list = []
-    i0 = 0
     steps = 0
     tick = 0
-    while i0 < len(work):
-        h, c = work[i0]
+    while pending:
+        h = pending.pop().obj
+        c = acc.pop(h)[0] % p
+        if not c:
+            continue
         # bits of the variables absent from h: a reducer using one cannot divide
         absent = ~mask(h)
         for lm_g, mask_g, inv_lc, terms_g in entries:
@@ -278,7 +290,6 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
                 break
         else:
             out.append((h, c))
-            i0 += 1
             continue
         steps += 1
         if deadline is not None:
@@ -289,11 +300,16 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
                     if stats is not None:
                         stats.reduction_steps += steps
                     raise TimeLimitExceeded
-        factor = c * inv_lc % p
-        mult = [(mul(q, hg), ct * factor % p) for hg, ct in terms_g]
-        # the head work[i0] cancels against mult[0] exactly
-        work = _merge(ctx, work, mult, i0 + 1, 1)
-        i0 = 0
+        # the head cancels against the multiple's leading term exactly
+        factor = p - c * inv_lc % p
+        for hg, ct in islice(terms_g, 1, None):
+            m = mul(q, hg)
+            cell = acc.get(m)
+            if cell is None:
+                acc[m] = [ct * factor]
+                insort(pending, key(m))
+            else:
+                cell[0] += ct * factor
     if stats is not None:
         stats.reduction_steps += steps
     return Polynomial(ctx, tuple(out))

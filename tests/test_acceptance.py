@@ -150,7 +150,9 @@ def test_criterion_4_cross_order_basis_identity(robustness):
         completed.append(name)
         notes.append(f"{name}: {runs_per_system}/{runs_per_system} identical "
                      f"(basis size {res.basis_size})")
-    assert len(completed) >= 4, notes
+    # every system must complete: the slowest configuration (Mathematica
+    # help) finishes in about 13 s on a 2-core x86_64 VM, 9x under the limit
+    assert len(completed) == len(ROBUSTNESS_SYSTEMS), notes
     _ok(4, "; ".join(notes))
 
 

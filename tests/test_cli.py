@@ -205,7 +205,7 @@ def test_verify_time_limit_is_per_configuration(tmp_path, capsys):
     # each configuration gets the full limit and the first abort ends the
     # system, so one slow configuration costs about one limit
     path = tmp_path / "slow.txt"
-    path.write_text("vars: x\npoly: x^1000000 - 1\npoly: x^3 - 1\n")
+    path.write_text("vars: x\npoly: x^10000000 - 1\npoly: x^3 - 1\n")
     start = time.perf_counter()
     code = main(["verify", "--system", str(path), "--time-limit", "1",
                  "--strategies", "induced-order"])
