@@ -343,8 +343,12 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
 # The Groebner engine is generic over a MonomialOrder object that owns the
 # in-memory representation of monomials. A *handle* is whatever the strategy
 # stores for one power product; native strategies use the bare exponent
-# tuple, the cached-matrix strategy pairs it with its weight vector so a
-# comparison is a single tuple comparison and a product is a vector add.
+# tuple. The cached-matrix strategy puts the weight vector W @ e in front
+# of it. W is linear, so a product's weights are the sum of its factors'
+# and a product of handles is their entrywise sum, as for exponent tuples.
+# W is nonsingular, so distinct monomials have distinct weights: the
+# weight half decides every comparison and the whole handle compares as one
+# tuple.
 # Equal monomials must get equal, hashable handles: the reducer keys its
 # remainder by handle, so only ordering decisions go through cmp.
 # Every strategy carries its weight matrix: the natives their family's, the
@@ -462,48 +466,43 @@ class MatrixDirectOrder(MatrixOrder):
 class MatrixCachedOrder(MatrixOrder):
     """Matrix order, method 2: each monomial handle carries its weight vector.
 
-    A handle is (weights, exps). The full matrix-vector product runs once per
-    distinct monomial entering the cache (inputs and critical-pair lcms);
-    products and quotients update the weights by vector add and subtract.
-    matvec_products counts the materializations.
+    A handle is one flat tuple, W @ e followed by e. The full matrix-vector
+    product runs once per distinct monomial entering the cache (inputs and
+    critical-pair lcms); products and quotients add and subtract whole
+    handles. matvec_products counts the materializations.
     """
 
     def __init__(self, matrix: WeightMatrix, label: str | None = None):
         super().__init__(matrix, label)
         self._memo: dict = {}
+        self._exp_slots = range(self.n, 2 * self.n)
 
     def attach(self, exps):
         exps = tuple(exps)
         h = self._memo.get(exps)
         if h is None:
             self.matvec_products += 1
-            h = (self.matrix.weight_vector(exps), exps)
+            h = self.matrix.weight_vector(exps) + exps
             self._memo[exps] = h
         return h
 
     def exps(self, h):
-        return h[1]
+        return h[self.n:]
 
     def weights(self, h):
-        return h[0]
-
-    def mul(self, a, b):
-        return (tuple(map(_add, a[0], b[0])), tuple(map(_add, a[1], b[1])))
+        return h[:self.n]
 
     def div(self, a, b):
-        ea = a[1]
-        eb = b[1]
-        out = []
-        for x, y in zip(ea, eb):
-            d = x - y
-            if d < 0:
+        # exponents first: a failed divisor probe builds no tuple
+        for k in self._exp_slots:
+            if a[k] < b[k]:
                 return None
-            out.append(d)
-        return (tuple(map(_sub, a[0], b[0])), tuple(out))
+        return tuple(map(_sub, a, b))
 
     def lcm(self, a, b):
-        ea = a[1]
-        eb = b[1]
+        n = self.n
+        ea = a[n:]
+        eb = b[n:]
         m = tuple(map(max, ea, eb))
         if m == ea:
             return a
@@ -513,11 +512,9 @@ class MatrixCachedOrder(MatrixOrder):
 
     def cmp(self, a, b) -> int:
         self.comparisons += 1
-        wa = a[0]
-        wb = b[0]
-        if wa > wb:
+        if a > b:
             return GREATER
-        if wa < wb:
+        if a < b:
             return LESS
         return EQUAL
 

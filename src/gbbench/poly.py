@@ -61,17 +61,13 @@ class PolyContext:
         return f"PolyContext(nvars={self.nvars}, p={self.field.p}, order={self.order.label})"
 
 
-def _same_context(f: "Polynomial", g: "Polynomial") -> None:
-    if f.context is not g.context:
-        raise ValueError("polynomials from different contexts")
-
-
-def _merge(ctx: PolyContext, A, B, ia: int = 0, ib: int = 0) -> list:
-    """Merge two descending term sequences as A - B from the given offsets;
-    s_polynomial's cancelling merge of its two cofactor multiples."""
+def _merge(ctx: PolyContext, A, B) -> list:
+    """Merge two descending term sequences as A - B; s_polynomial's
+    cancelling merge of its two cofactor tails."""
     cmp = ctx.order.cmp
     p = ctx.field.p
     out = []
+    ia = ib = 0
     la = len(A)
     lb = len(B)
     while ia < la and ib < lb:
@@ -148,15 +144,6 @@ class Polynomial:
         exps = self.context.order.exps
         return tuple((exps(h), c) for h, c in self.terms)
 
-    def _mul_handle(self, h, coeff: int) -> "Polynomial":
-        """Multiply by nonzero coeff * monomial(h); term order survives translation."""
-        p = self.context.field.p
-        c = coeff % p
-        mul = self.context.order.mul
-        if c == 1:
-            return Polynomial(self.context, tuple((mul(ht, h), ct) for ht, ct in self.terms))
-        return Polynomial(self.context, tuple((mul(ht, h), ct * c % p) for ht, ct in self.terms))
-
     def monic(self) -> "Polynomial":
         if not self.terms or self.terms[0][1] == 1:
             return self
@@ -187,21 +174,29 @@ class Polynomial:
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm(lm(f), lm(g)).
 
-    Both cofactor multiples are made monic first, so the leading terms cancel
-    exactly and the merge can skip them.
+    Both cofactor multiples are made monic, so their leading terms cancel
+    exactly and only the tails are multiplied and merged; multiplying a
+    descending tail by one monomial keeps it descending.
     """
-    _same_context(f, g)
+    if f.context is not g.context:
+        raise ValueError("polynomials from different contexts")
     if f.is_zero or g.is_zero:
         raise ValueError("s_polynomial needs nonzero polynomials")
     ctx = f.context
     order = ctx.order
+    mul = order.mul
     inv = ctx.field.inv
+    p = ctx.field.p
     hf, cf = f.terms[0]
     hg, cg = g.terms[0]
     L = order.lcm(hf, hg)
-    a = f._mul_handle(order.div(L, hf), inv(cf))
-    b = g._mul_handle(order.div(L, hg), inv(cg))
-    return Polynomial(ctx, tuple(_merge(ctx, a.terms, b.terms, 1, 1)))
+    qf = order.div(L, hf)
+    qg = order.div(L, hg)
+    inv_f = inv(cf)
+    inv_g = inv(cg)
+    A = [(mul(h, qf), c * inv_f % p) for h, c in islice(f.terms, 1, None)]
+    B = [(mul(h, qg), c * inv_g % p) for h, c in islice(g.terms, 1, None)]
+    return Polynomial(ctx, tuple(_merge(ctx, A, B)))
 
 
 _DEADLINE_STRIDE = 4096

@@ -141,9 +141,11 @@ def test_matvec_counter_on_cached_order():
 
 
 def test_strategies_reach_the_same_reduced_basis(monkeypatch):
-    # the two family matrices differ by a lower-triangular L, so sorting by
-    # weight vectors is sorting by the order itself: both strategies pick
-    # the same pairs, in the same sequence, under every roster label
+    # a matrix order is the lexicographic order of its weight vectors, so
+    # sorting by weight vectors is sorting by the order itself, and the two
+    # family matrices differ by a lower-triangular L, so they order alike:
+    # both strategies pick the same pairs, in the same sequence, under every
+    # roster label
     field = PrimeField(32003)
     handed = []
     spoly = groebner.s_polynomial
@@ -191,6 +193,20 @@ PINNED_COUNTS = {
     ("lichtblau1", WEIGHT_VECTOR): (1678, 2922, 1174, 1212, 31173, 255, 239),
 }
 
+# order.matvec_products after buchberger and again after reduce_basis, the
+# same under both cached-matrix labels (the other labels make none); an lcm
+# that stopped handing back an operand that already is the lcm raises them
+PINNED_MATVEC_PRODUCTS = {
+    ("lichtblau3", INDUCED_ORDER): 50,
+    ("lichtblau3", WEIGHT_VECTOR): 35,
+    ("katsura-4", INDUCED_ORDER): 23,
+    ("katsura-4", WEIGHT_VECTOR): 22,
+    ("cyclic-4", INDUCED_ORDER): 22,
+    ("cyclic-4", WEIGHT_VECTOR): 22,
+    ("lichtblau1", INDUCED_ORDER): 1300,
+    ("lichtblau1", WEIGHT_VECTOR): 1200,
+}
+
 
 @pytest.mark.parametrize("system,kind", sorted(PINNED_COUNTS))
 def test_work_counts_pinned_under_every_label(system, kind):
@@ -204,11 +220,14 @@ def test_work_counts_pinned_under_every_label(system, kind):
     for label in ORDER_LABELS:
         order = order_factory(label)(spec.nvars)
         res = buchberger(realize(spec, order, field), strategy=kind)
+        products = order.matvec_products
         red = reduce_basis(res.basis)
         st = res.stats
         got = (st.comparisons, order.comparisons, st.reduction_steps, st.pairs_processed,
                st.pairs_skipped_by_criteria, len(res.basis), len(red))
         assert got == PINNED_COUNTS[system, kind], label
+        want = PINNED_MATVEC_PRODUCTS[system, kind] if isinstance(order, MatrixCachedOrder) else 0
+        assert (products, order.matvec_products) == (want, want), label
 
 
 _OraclePair = namedtuple("_OraclePair", "i j lcm_exps key")
@@ -618,7 +637,7 @@ def test_audit_cached_weights_flags_corruption():
     from gbbench.poly import Polynomial
 
     good = order.attach((1, 1))
-    bad = ((99, 99), (1, 1))  # wrong cached weights for the same monomial
+    bad = (99, 99, 1, 1)  # wrong cached weights for the same monomial
     f = Polynomial(ctx, (((bad), 5),))
     report = audit_cached_weights([f])
     assert report == [((1, 1), (99, 99), subtotal_weight_matrix(2).weight_vector((1, 1)))]

@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private helper is used by the package.
 
-The package's __init__.py is left out: its imports are the public
-re-exports. A name counts as used when it appears anywhere in the module
-outside its import statement, annotations included.
+The package's __init__.py is left out of the import check: its imports are
+the public re-exports. A name counts as used when it appears anywhere in the
+module outside its import statement, annotations included. A private helper
+is an underscore-prefixed function, method or class; it counts as used when
+package code names it, so a helper that only tests reach fails.
 """
 
 import ast
@@ -36,3 +39,35 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "from .ordering import MatrixCachedOrder, WeightMatrix\nMatrixCachedOrder()\n"
     assert _unused_imports(source) == [(1, "WeightMatrix")]
+
+
+def _unreferenced_private(sources: dict) -> list:
+    """(module, line, name) for each private helper that no module in
+    sources names; sources maps module names to source text."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    named = set()
+    defined = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((mod, node.lineno, node.name))
+    return sorted(d for d in defined if d[2] not in named)
+
+
+def test_every_private_helper_is_used_by_the_package():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _unreferenced_private(sources) == []
+
+
+def test_the_check_sees_an_unused_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _unused():\n    pass\n",
+        "b.py": "from .a import _used\n\n\nclass C:\n    def _m(self):\n        _used()\n\n"
+                "    def __repr__(self):\n        return ''\n",
+    }
+    assert _unreferenced_private(sources) == [("a.py", 5, "_unused"), ("b.py", 5, "_m")]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gbbench.bench import ORDER_LABELS, order_factory
 from gbbench.ordering import (
     EQUAL,
     GREATER,
@@ -388,8 +389,12 @@ def test_native_orders_cmp_and_counters():
     assert sub.cmp(sub.attach((0, 2, 0)), sub.attach((1, 0, 1))) == GREATER
 
 
-def test_handle_protocol_native():
-    order = SubtotalOrder(3)
+@pytest.mark.parametrize("label", ORDER_LABELS)
+def test_handle_protocol_native(label):
+    # every roster order's handles act on the exponents entrywise, equal
+    # monomials get equal handles however they were derived, and cmp is the
+    # order of order.matrix
+    order = order_factory(label)(3)
     a = order.attach((2, 1, 0))
     b = order.attach((1, 1, 2))
     assert order.exps(a) == (2, 1, 0)
@@ -397,6 +402,41 @@ def test_handle_protocol_native():
     assert order.div(a, b) is None
     assert order.exps(order.div(order.mul(a, b), b)) == (2, 1, 0)
     assert order.exps(order.lcm(a, b)) == (2, 1, 2)
+    cached = isinstance(order, MatrixCachedOrder)
+    rng = random.Random(23)
+    for ea, eb in _random_pairs(rng, 3, 300, 4):
+        ha = order.attach(ea)
+        hb = order.attach(eb)
+        assert order.exps(ha) == ea
+        ab = order.mul(ha, hb)
+        assert order.exps(ab) == tuple(x + y for x, y in zip(ea, eb))
+        assert order.div(ab, hb) == ha
+        derived = [ha, hb, ab]
+        q = order.div(ha, hb)
+        if all(x >= y for x, y in zip(ea, eb)):
+            assert order.exps(q) == tuple(x - y for x, y in zip(ea, eb))
+            derived.append(q)
+        else:
+            assert q is None
+        m = order.lcm(ha, hb)
+        em = tuple(map(max, ea, eb))
+        assert order.exps(m) == em
+        derived.append(m)
+        for e, h in ((ea, ha), (eb, hb)):
+            if em == e:
+                assert m == h
+        # an operand that is the lcm comes back itself, even one the memo
+        # has never seen, so the cached order makes no matrix product for it
+        products = order.matvec_products
+        assert order.lcm(ab, ha) == ab
+        back = order.lcm(hb, ab)
+        assert back == ab
+        assert back is ab or back is hb or not cached
+        assert order.matvec_products == products
+        assert order.cmp(ha, hb) == cmp_by_matrix(order.matrix, ea, eb)
+        if cached:
+            for h in derived:
+                assert order.weights(h) == order.matrix.weight_vector(order.exps(h))
 
 
 def test_matrix_direct_order():

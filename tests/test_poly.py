@@ -69,7 +69,7 @@ def test_merge_random_against_dict_oracle():
             for e, c in Polynomial(ctx, B[ib:]).as_tuples():
                 acc[e] = (acc.get(e, 0) - c) % 32003
             want = ctx.polynomial([(e, c) for e, c in acc.items() if c])
-            got = _merge(ctx, A, B, ia, ib)
+            got = _merge(ctx, A[ia:], B[ib:])
             # strictly descending, nonzero coefficients, and A[ia:] - B[ib:]
             assert got == list(want.terms)
 
@@ -212,7 +212,7 @@ def _reduce_oracle(f, G, stats):
         stats.reduction_steps += 1
         factor = c * inv_lc % p
         mult = [(order.mul(q, hg), ct * factor % p) for hg, ct in terms_g]
-        work = _merge(ctx, work, mult, i0 + 1, 1)
+        work = _merge(ctx, work[i0 + 1:], mult[1:])
         i0 = 0
     return tuple(out)
 
