@@ -345,18 +345,22 @@ def _packed_layout(order, G, F):
 
 def _packed_basis(G, pack_key, pack_exps, mtop, ones):
     """Each element as (support mask of its leading monomial, (packed leading
-    exponents, inverse leading coefficient, tail)); a tail term is (key
-    offset, exponent offset, coefficient) from the leading monomial."""
-    inv = G[0].context.field.inv
+    exponents, monic tail)); a tail term is (key offset, exponent offset,
+    coefficient divided by the leading coefficient) from the leading
+    monomial. Each tail is scaled here, once per element, by field.inv and not
+    by Polynomial.monic, so the verifier shares no arithmetic with the engine."""
+    field = G[0].context.field
+    p = field.p
     prepped = []
     for g in G:
         terms = g.as_tuples()
         lm_e, lm_c = terms[0]
+        inv = field.inv(lm_c)
         lm_k = pack_key(lm_e)
         lm_ep = pack_exps(lm_e)
-        tail = [(pack_key(e) - lm_k, pack_exps(e) - lm_ep, c)
+        tail = [(pack_key(e) - lm_k, pack_exps(e) - lm_ep, c * inv % p)
                 for e, c in terms[1:]]
-        prepped.append(((lm_ep + ones) & mtop, (lm_ep, inv(lm_c), tail)))
+        prepped.append(((lm_ep + ones) & mtop, (lm_ep, tail)))
     return prepped
 
 
@@ -378,7 +382,8 @@ def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
     elements whose mask has no guard bit the term's lacks, in prepped order,
     listed the first time a mask is met. The first divisor found is the one
     a probe over all of prepped would find. Each candidate gets the exact
-    guard-bit test (see _packed_layout).
+    guard-bit test (see _packed_layout). The divisor's tail is monic, so
+    the head c cancels by adding (p - c) times the tail's shifted terms.
     """
     acc: dict = {}
     heap = []
@@ -401,7 +406,7 @@ def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
         probe = cands.get(s)
         if probe is None:
             probe = cands[s] = [r for sg, r in prepped if not sg & ~s]
-        for lm_ep, inv_lc, tail in probe:
+        for lm_ep, tail in probe:
             if (e - lm_ep + mtop) & mtop == mtop:
                 break
         else:
@@ -412,7 +417,7 @@ def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
                 tick = 0
                 if perf_counter() > deadline:
                     raise TimeLimitExceeded
-        factor = (p - c) * inv_lc % p
+        factor = p - c
         for dk, de, ct in tail:
             k2 = k + dk
             got = acc.get(k2)
@@ -448,9 +453,9 @@ def verify_failure(G, F=None, *, max_seconds: float | None = None) -> tuple | No
     prepped = _packed_basis(G, pack_key, pack_exps, mtop, ones)
     cands: dict = {}
     lms = [r[0] for _, r in prepped]
-    # S(g_i, g_j) = inv_i * (L / lm_i) * tail_i - inv_j * (L / lm_j) * tail_j
-    # with the leading terms cancelled; each side's tail scaled once
-    ups = [[(dk, de, inv * ct % p) for dk, de, ct in tail] for _, (_, inv, tail) in prepped]
+    # S(g_i, g_j) = (L / lm_i) * tail_i - (L / lm_j) * tail_j with the
+    # leading terms cancelled and the tails monic; each side negated once
+    ups = [tail for _, (_, tail) in prepped]
     downs = [[(dk, de, p - c) for dk, de, c in up] for up in ups]
     for i in range(len(G)):
         lm_i = lms[i]

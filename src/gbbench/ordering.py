@@ -364,6 +364,8 @@ class MonomialOrder:
         self.label = label or type(self).__name__
         self.comparisons = 0
         self.matvec_products = 0
+        # the handle positions that hold exponents, which div checks
+        self._exp_slots = range(self.n)
 
     # handle protocol -----------------------------------------------------
     def attach(self, exps):
@@ -376,13 +378,11 @@ class MonomialOrder:
         return tuple(map(_add, a, b))
 
     def div(self, a, b):
-        out = []
-        for x, y in zip(a, b):
-            d = x - y
-            if d < 0:
+        # exponents first: a failed divisor probe builds no tuple
+        for k in self._exp_slots:
+            if a[k] < b[k]:
                 return None
-            out.append(d)
-        return tuple(out)
+        return tuple(map(_sub, a, b))
 
     def lcm(self, a, b):
         return tuple(map(max, a, b))
@@ -491,13 +491,6 @@ class MatrixCachedOrder(MatrixOrder):
 
     def weights(self, h):
         return h[:self.n]
-
-    def div(self, a, b):
-        # exponents first: a failed divisor probe builds no tuple
-        for k in self._exp_slots:
-            if a[k] < b[k]:
-                return None
-        return tuple(map(_sub, a, b))
 
     def lcm(self, a, b):
         n = self.n

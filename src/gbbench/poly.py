@@ -174,28 +174,26 @@ class Polynomial:
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = L/lt(f) * f - L/lt(g) * g with L = lcm(lm(f), lm(g)).
 
-    Both cofactor multiples are made monic, so their leading terms cancel
-    exactly and only the tails are multiplied and merged; multiplying a
-    descending tail by one monomial keeps it descending.
+    f and g are made monic first (a monic input is used as it is), so the
+    leading terms of the two multiples cancel exactly and only the tails are
+    multiplied and merged, coefficients unchanged; multiplying a descending
+    tail by one monomial keeps it descending.
     """
     if f.context is not g.context:
         raise ValueError("polynomials from different contexts")
     if f.is_zero or g.is_zero:
         raise ValueError("s_polynomial needs nonzero polynomials")
+    f, g = f.monic(), g.monic()
     ctx = f.context
     order = ctx.order
     mul = order.mul
-    inv = ctx.field.inv
-    p = ctx.field.p
-    hf, cf = f.terms[0]
-    hg, cg = g.terms[0]
+    hf = f.terms[0][0]
+    hg = g.terms[0][0]
     L = order.lcm(hf, hg)
     qf = order.div(L, hf)
     qg = order.div(L, hg)
-    inv_f = inv(cf)
-    inv_g = inv(cg)
-    A = [(mul(h, qf), c * inv_f % p) for h, c in islice(f.terms, 1, None)]
-    B = [(mul(h, qg), c * inv_g % p) for h, c in islice(g.terms, 1, None)]
+    A = [(mul(h, qf), c) for h, c in islice(f.terms, 1, None)]
+    B = [(mul(h, qg), c) for h, c in islice(g.terms, 1, None)]
     return Polynomial(ctx, tuple(_merge(ctx, A, B)))
 
 
@@ -205,13 +203,13 @@ _DEADLINE_STRIDE = 4096
 class Reducers:
     """Divisor table for reduce: the reducers in probe order, each set up once.
 
-    An entry is (leading handle, mask, inverse of the leading coefficient,
-    terms). The mask has bit i set when variable i occurs in the leading
-    monomial, so a reducer whose mask has a bit that a term's mask lacks
-    cannot divide that term and reduce skips its div (Singular's short
-    exponent vectors, Bachmann and Schoenemann, ISSAC 1998, at one bit per
-    variable). Callers that keep a table across reduce calls pay for the
-    inversions and context checks once per reducer, not once per call.
+    An entry is (leading handle, mask, terms of the reducer made monic). The
+    mask has bit i set when variable i occurs in the leading monomial, so a
+    reducer whose mask has a bit that a term's mask lacks cannot divide that
+    term and reduce skips its div (Singular's short exponent vectors, Bachmann
+    and Schoenemann, ISSAC 1998, at one bit per variable). A monic reducer is
+    stored as it is; callers that keep a table across reduce calls pay for
+    any scaling and the context checks once per reducer, not once per call.
     """
 
     __slots__ = ("context", "bits", "entries")
@@ -233,8 +231,8 @@ class Reducers:
             raise ValueError("polynomials from different contexts")
         if g.is_zero:
             raise ValueError("zero polynomial among the reducers")
-        h, c = g.terms[0]
-        self.entries.insert(at, (h, self.mask(h), self.context.field.inv(c), g.terms))
+        h = g.terms[0][0]
+        self.entries.insert(at, (h, self.mask(h), g.monic().terms))
 
 
 def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Polynomial:
@@ -277,7 +275,7 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
             continue
         # bits of the variables absent from h: a reducer using one cannot divide
         absent = ~mask(h)
-        for lm_g, mask_g, inv_lc, terms_g in entries:
+        for lm_g, mask_g, terms_g in entries:
             if mask_g & absent:
                 continue
             q = div(h, lm_g)
@@ -295,8 +293,8 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
                     if stats is not None:
                         stats.reduction_steps += steps
                     raise TimeLimitExceeded
-        # the head cancels against the multiple's leading term exactly
-        factor = p - c * inv_lc % p
+        # the reducer is monic: the head cancels against c * q * lm_g exactly
+        factor = p - c
         for hg, ct in islice(terms_g, 1, None):
             m = mul(q, hg)
             cell = acc.get(m)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbbench.corpus import (
     BUNDLED_KEYS,
@@ -145,6 +146,31 @@ def test_render_parse_round_trip():
     """)
     again = parse_system(render_system(spec))
     assert again == spec
+
+
+@st.composite
+def _integer_specs(draw):
+    # names that are prefixes of one another, so the tokenizer must take the
+    # longest; exponents up to 11 so x^10 sits beside the variable x10
+    names = tuple(draw(st.lists(st.sampled_from(("x", "x1", "x10", "y", "xy", "_t")),
+                                min_size=1, max_size=4, unique=True)))
+    exps = st.tuples(*[st.one_of(st.just(0), st.integers(0, 11))] * len(names))
+    coeff = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-10**6, 10**6)).map(Fraction)
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(coeff, exps), min_size=1, max_size=5))
+        # repeated monomials are kept term for term
+        terms += draw(st.lists(st.sampled_from(terms), max_size=2))
+        polys.append(tuple(terms))
+    return SystemSpec(name=draw(st.sampled_from(("s", "round-trip"))), variables=names,
+                      polynomials=tuple(polys),
+                      provenance=draw(st.sampled_from(("", "generated"))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integer_specs())
+def test_render_parse_round_trip_property(spec):
+    assert parse_system(render_system(spec)) == spec
 
 
 def test_permute_variables():

@@ -113,6 +113,39 @@ def test_s_polynomial_scales_leading_coeffs():
         s_polynomial(f, ctx.polynomial([]))
 
 
+def test_engine_path_inverts_only_to_make_monic(monkeypatch):
+    # s_polynomial and Reducers divide out a leading coefficient through
+    # monic() only, one inversion per non-monic polynomial; reduce inverts
+    # nothing, and a monic input costs no inversion at all
+    calls = []
+    inv = PrimeField.inv
+    monkeypatch.setattr(PrimeField, "inv", lambda field, a: calls.append(a) or inv(field, a))
+    rng = random.Random(17)
+    for order in (SubtotalOrder(3), MatrixCachedOrder(degrevlex_weight_matrix(3))):
+        ctx = _ctx(3, order)
+        for _ in range(30):
+            # degree 10 leads every random tail (degree at most 9)
+            f = ctx.polynomial([((4, 3, 3), 2)] + list(_random_poly(rng, ctx, 5, 4).as_tuples()))
+            g = ctx.polynomial([((3, 4, 3), 3)] + list(_random_poly(rng, ctx, 5, 4).as_tuples()))
+            fm, gm = f.monic(), g.monic()
+            del calls[:]
+            want = s_polynomial(fm, gm)
+            Reducers(ctx, [fm, gm])
+            assert calls == []
+            assert s_polynomial(f, g) == want
+            assert calls == [2, 3]
+            del calls[:]
+            assert s_polynomial(fm, g) == want
+            assert calls == [3]
+            del calls[:]
+            table = Reducers(ctx, [f, gm, g])
+            assert calls == [2, 3]
+            assert [e[2] for e in table.entries] == [fm.terms, gm.terms, gm.terms]
+            del calls[:]
+            reduce(f, table)
+            assert calls == []
+
+
 def test_reduce_hand_case():
     # classic example: x^2*y modulo {x^2 - y, x*y - 1}
     # x^2*y -> y*y (via first) = y^2; y^2 is irreducible
@@ -183,26 +216,25 @@ def test_reduce_against_table_equals_reduce_against_list():
             # the table is reusable and unchanged by a reduction
             assert reduce(f, table) == want
             assert s_table.reduction_steps == s_list.reduction_steps
-            assert [e[3] for e in table.entries] == [g.terms for g in G]
+            # an entry holds the leading handle, its mask and the monic terms
+            assert table.entries == [(g.terms[0][0], table.mask(g.terms[0][0]), g.monic().terms)
+                                     for g in G]
 
 
 def _reduce_oracle(f, G, stats):
     # the merge-based reducer: each multiple is merged into the whole
-    # remainder, and the head is always the remainder's first term
+    # remainder, and the head is always the remainder's first term; it probes
+    # every reducer in G's order and divides by the leading coefficient itself
     ctx = f.context
     order = ctx.order
     p = ctx.field.p
-    table = Reducers(ctx, G)
     work = list(f.terms)
     out = []
     i0 = 0
     while i0 < len(work):
         h, c = work[i0]
-        absent = ~table.mask(h)
-        for lm_g, mask_g, inv_lc, terms_g in table.entries:
-            if mask_g & absent:
-                continue
-            q = order.div(h, lm_g)
+        for g in G:
+            q = order.div(h, g.terms[0][0])
             if q is not None:
                 break
         else:
@@ -210,8 +242,8 @@ def _reduce_oracle(f, G, stats):
             i0 += 1
             continue
         stats.reduction_steps += 1
-        factor = c * inv_lc % p
-        mult = [(order.mul(q, hg), ct * factor % p) for hg, ct in terms_g]
+        factor = c * ctx.field.inv(g.terms[0][1]) % p
+        mult = [(order.mul(q, hg), ct * factor % p) for hg, ct in g.terms]
         work = _merge(ctx, work[i0 + 1:], mult[1:])
         i0 = 0
     return tuple(out)
@@ -270,8 +302,8 @@ def test_reducers_reject_zero_and_foreign_polynomials():
     with pytest.raises(ValueError, match="zero polynomial"):
         table.insert(1, ctx.polynomial([]))
     assert len(table.entries) == 1
-    # an entry holds the leading handle, its mask, 1/lc and the terms
-    assert table.entries[0] == (g.terms[0][0], 0b01, ctx.field.inv(3), g.terms)
+    # an entry holds the leading handle, its mask and the monic terms
+    assert table.entries[0] == (g.terms[0][0], 0b01, g.monic().terms)
     with pytest.raises(ValueError, match="different contexts"):
         reduce(foreign, table)
     with pytest.raises(ValueError, match="different contexts"):
