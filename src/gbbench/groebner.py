@@ -264,16 +264,21 @@ def reduce_basis(G) -> list:
     order = ctx.order
     G_sorted = sorted(G, key=cmp_to_key(
         lambda f, g: order.cmp(f.leading_monomial(), g.leading_monomial())))
-    minimal: list = []
-    minimal_exps: list = []
-    for g in G_sorted:
-        e = order.exps(g.leading_monomial())
-        if not any(all(map(le, m, e)) for m in minimal_exps):
-            minimal.append(g)
-            minimal_exps.append(e)
     # one table for every element: each term below lm(g) is smaller than
     # lm(g), so none is divisible by it and g never fires on its own tail
-    table = Reducers(ctx, minimal)
+    table = Reducers(ctx)
+    minimal: list = []
+    # (mask, exps) of each kept leading monomial; a mask with a bit that e's
+    # mask lacks rules divisibility out before the exponents are compared
+    kept: list = []
+    for g in G_sorted:
+        h = g.leading_monomial()
+        e = order.exps(h)
+        m = table.mask(h)
+        if not any(not mk & ~m and all(map(le, ek, e)) for mk, ek in kept):
+            table.insert(len(minimal), g)
+            minimal.append(g)
+            kept.append((m, e))
     out = []
     for g in minimal:
         tail = reduce(Polynomial(ctx, g.terms[1:]), table)

@@ -199,17 +199,30 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 _DEADLINE_STRIDE = 4096
 
+# a Reducers entry's kept value for a quotient used once: no products kept
+_USED_ONCE = object()
+
 
 class Reducers:
     """Divisor table for reduce: the reducers in probe order, each set up once.
 
-    An entry is (leading handle, mask, terms of the reducer made monic). The
-    mask has bit i set when variable i occurs in the leading monomial, so a
-    reducer whose mask has a bit that a term's mask lacks cannot divide that
-    term and reduce skips its div (Singular's short exponent vectors, Bachmann
-    and Schoenemann, ISSAC 1998, at one bit per variable). A monic reducer is
-    stored as it is; callers that keep a table across reduce calls pay for
-    any scaling and the context checks once per reducer, not once per call.
+    An entry is (leading handle, mask, terms of the reducer made monic, kept
+    multiples). The mask has bit i set when variable i occurs in the leading
+    monomial, so a reducer whose mask has a bit that a term's mask lacks
+    cannot divide that term and reduce skips its div (Singular's short
+    exponent vectors, Bachmann and Schoenemann, ISSAC 1998, at one bit per
+    variable). A monic reducer is stored as it is; callers that keep a table
+    across reduce calls pay for any scaling and the context checks once per
+    reducer, not once per call.
+
+    The kept multiples map a quotient handle q to the products mul(q, h)
+    over the monic tail, in tail order, so a reduction step that repeats a
+    multiple costs no mul (F4 builds each reducer multiple once per degree
+    step; Faugere, JPAA 1999). A multiple is kept from its second use on:
+    its first use only records q as _USED_ONCE, because most multiples of a
+    sparse system are used once and keeping them would cost time and
+    memory for nothing. The table lives as long as its owner: one buchberger
+    or reduce_basis call, or one reduce call on an iterable.
     """
 
     __slots__ = ("context", "bits", "entries")
@@ -232,7 +245,7 @@ class Reducers:
         if g.is_zero:
             raise ValueError("zero polynomial among the reducers")
         h = g.terms[0][0]
-        self.entries.insert(at, (h, self.mask(h), g.monic().terms))
+        self.entries.insert(at, (h, self.mask(h), g.monic().terms, {}))
 
 
 def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Polynomial:
@@ -242,6 +255,11 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     just the leading one. G is a Reducers table or an iterable of
     polynomials, which is made into one. Divisor probing follows the sequence
     order of G, so callers control the reducer preference by sorting G.
+    A step reuses the reducer multiple the table keeps for its quotient and
+    calls mul only for one it does not keep; the second use of a quotient
+    keeps its products in the table for later calls. The kept multiples
+    change no result, step or comparison: a product is looked up and, if new
+    to the remainder, inserted by cmp exactly as a freshly built one.
     Raises TimeLimitExceeded when a deadline (perf_counter timestamp) passes.
     """
     ctx = f.context
@@ -275,7 +293,7 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
             continue
         # bits of the variables absent from h: a reducer using one cannot divide
         absent = ~mask(h)
-        for lm_g, mask_g, terms_g in entries:
+        for lm_g, mask_g, terms_g, kept_g in entries:
             if mask_g & absent:
                 continue
             q = div(h, lm_g)
@@ -295,8 +313,15 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
                     raise TimeLimitExceeded
         # the reducer is monic: the head cancels against c * q * lm_g exactly
         factor = p - c
-        for hg, ct in islice(terms_g, 1, None):
-            m = mul(q, hg)
+        # the products of q over the tail: built by mul on q's first two
+        # uses, kept from the second on and read back from then
+        products = kept_g.get(q)
+        if products is None:
+            kept_g[q] = _USED_ONCE
+            products = [mul(q, hg) for hg, _ in islice(terms_g, 1, None)]
+        elif products is _USED_ONCE:
+            products = kept_g[q] = [mul(q, hg) for hg, _ in islice(terms_g, 1, None)]
+        for m, (_, ct) in zip(products, islice(terms_g, 1, None)):
             cell = acc.get(m)
             if cell is None:
                 acc[m] = [ct * factor]

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from gbbench.corpus import katsura_system, realize
 from gbbench.modfield import PrimeField
@@ -17,6 +17,7 @@ from gbbench.ordering import (
 from gbbench.groebner import EngineStats
 from gbbench.poly import (
     _DEADLINE_STRIDE,
+    _USED_ONCE,
     PolyContext,
     Polynomial,
     Reducers,
@@ -29,6 +30,13 @@ from gbbench.poly import (
 
 def _ctx(n=3, order=None):
     return PolyContext(PrimeField(32003), order or DegRevLexOrder(n))
+
+
+def _soon():
+    # a deadline for reducing small random inputs, which takes microseconds:
+    # a wrong reducer multiple can make reduce cycle, and the deadline turns
+    # that into a failure
+    return time.perf_counter() + 2
 
 
 def test_polynomial_builder_sorts_and_merges():
@@ -142,7 +150,7 @@ def test_engine_path_inverts_only_to_make_monic(monkeypatch):
             assert calls == [2, 3]
             assert [e[2] for e in table.entries] == [fm.terms, gm.terms, gm.terms]
             del calls[:]
-            reduce(f, table)
+            reduce(f, table, deadline=_soon())
             assert calls == []
 
 
@@ -211,14 +219,20 @@ def test_reduce_against_table_equals_reduce_against_list():
             table = Reducers(ctx, G)
             s_list = type("Stats", (), {"reduction_steps": 0})()
             s_table = type("Stats", (), {"reduction_steps": 0})()
-            want = reduce(f, G, stats=s_list)
-            assert reduce(f, table, stats=s_table) == want
-            # the table is reusable and unchanged by a reduction
-            assert reduce(f, table) == want
+            want = reduce(f, G, deadline=_soon(), stats=s_list)
+            assert reduce(f, table, deadline=_soon(), stats=s_table) == want
+            # the table is reusable: the second call keeps every multiple the
+            # first one used, the third reads them back
+            for _ in range(2):
+                assert reduce(f, table, deadline=_soon()) == want
             assert s_table.reduction_steps == s_list.reduction_steps
-            # an entry holds the leading handle, its mask and the monic terms
-            assert table.entries == [(g.terms[0][0], table.mask(g.terms[0][0]), g.monic().terms)
-                                     for g in G]
+            # an entry holds the leading handle, its mask, the monic terms and
+            # the kept multiples: quotient -> products over the monic tail
+            assert [e[:3] for e in table.entries] == [
+                (g.terms[0][0], table.mask(g.terms[0][0]), g.monic().terms) for g in G]
+            for _, _, terms, kept in table.entries:
+                for q, products in kept.items():
+                    assert products == [order.mul(q, h) for h, _ in terms[1:]]
 
 
 def _reduce_oracle(f, G, stats):
@@ -275,7 +289,7 @@ def test_reduce_random_against_merge_oracle(order):
         f = ctx.polynomial(pairs)
         s_new, s_old = EngineStats(), EngineStats()
         c0 = order.comparisons
-        got = reduce(f, G, stats=s_new).terms
+        got = reduce(f, G, deadline=_soon(), stats=s_new).terms
         c1 = order.comparisons
         want = _reduce_oracle(f, G, s_old)
         mine += c1 - c0
@@ -285,6 +299,72 @@ def test_reduce_random_against_merge_oracle(order):
     # a short remainder can cost a few more probes than a merge; the whole
     # run may not (1196 against 1460 comparisons)
     assert mine <= theirs, (mine, theirs)
+
+
+_TERMS3 = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 32002)),
+                   min_size=1, max_size=4)
+# (insert?, position, terms): insert a reducer, or reduce a polynomial
+_TABLE_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, 8), _TERMS3), min_size=1, max_size=12)
+
+
+# no shrinking: a wrong kept product can make reduce cycle until its
+# deadline, and shrinking would pay that once per candidate example
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.lists(_TERMS3, min_size=1, max_size=3), _TABLE_OPS)
+def test_reused_table_equals_fresh_table_and_oracle(initial, ops):
+    # one table serves many reductions, with reducers inserted in between;
+    # the multiples it keeps must never change a result or a step count
+    for order in (DegRevLexOrder(3), MatrixCachedOrder(subtotal_weight_matrix(3))):
+        ctx = _ctx(3, order)
+        G = [g for g in map(ctx.polynomial, initial) if not g.is_zero]
+        table = Reducers(ctx, G)
+        for is_insert, at, pairs in ops:
+            g = ctx.polynomial(pairs)
+            if is_insert:
+                if not g.is_zero:
+                    at %= len(G) + 1
+                    G.insert(at, g)
+                    table.insert(at, g)
+                continue
+            s_kept, s_fresh, s_old = EngineStats(), EngineStats(), EngineStats()
+            got = reduce(g, table, deadline=_soon(), stats=s_kept)
+            assert got == reduce(g, G, deadline=_soon(), stats=s_fresh)
+            assert got.terms == _reduce_oracle(g, G, s_old)
+            assert s_kept.reduction_steps == s_fresh.reduction_steps == s_old.reduction_steps
+
+
+@pytest.mark.parametrize("order", [DegRevLexOrder(2), MatrixCachedOrder(degrevlex_weight_matrix(2))],
+                         ids=lambda o: type(o).__name__)
+def test_multiple_is_kept_from_its_second_use(order, monkeypatch):
+    # x^2 modulo x^2 + y + 1: one step with quotient 1 over a two-term tail
+    ctx = _ctx(2, order)
+    g = ctx.polynomial([((2, 0), 1), ((0, 1), 1), ((0, 0), 1)])
+    f = ctx.polynomial([((2, 0), 1)])
+    table = Reducers(ctx, [g])
+    kept = table.entries[0][3]
+    q = order.attach((0, 0))
+    tail = [h for h, _ in g.terms[1:]]
+    products = [order.mul(q, h) for h in tail]
+    calls = []
+    mul = order.mul
+    monkeypatch.setattr(order, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+    want = (((0, 1), 32002), ((0, 0), 32002))
+    # first use: one mul per tail term, nothing kept
+    assert reduce(f, table, deadline=_soon()).as_tuples() == want
+    assert calls == [(q, h) for h in tail]
+    assert kept == {q: _USED_ONCE}
+    # second use: the same calls, and the products are kept
+    del calls[:]
+    assert reduce(f, table, deadline=_soon()).as_tuples() == want
+    assert calls == [(q, h) for h in tail]
+    assert kept == {q: products}
+    # later uses: no mul at all
+    del calls[:]
+    for _ in range(3):
+        assert reduce(f, table, deadline=_soon()).as_tuples() == want
+    assert calls == []
+    assert kept == {q: products}
 
 
 def test_reducers_reject_zero_and_foreign_polynomials():
@@ -302,8 +382,9 @@ def test_reducers_reject_zero_and_foreign_polynomials():
     with pytest.raises(ValueError, match="zero polynomial"):
         table.insert(1, ctx.polynomial([]))
     assert len(table.entries) == 1
-    # an entry holds the leading handle, its mask and the monic terms
-    assert table.entries[0] == (g.terms[0][0], 0b01, g.monic().terms)
+    # an entry holds the leading handle, its mask, the monic terms and no
+    # kept multiples yet
+    assert table.entries[0] == (g.terms[0][0], 0b01, g.monic().terms, {})
     with pytest.raises(ValueError, match="different contexts"):
         reduce(foreign, table)
     with pytest.raises(ValueError, match="different contexts"):
