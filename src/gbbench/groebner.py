@@ -268,17 +268,17 @@ def reduce_basis(G) -> list:
     # lm(g), so none is divisible by it and g never fires on its own tail
     table = Reducers(ctx)
     minimal: list = []
-    # (mask, exps) of each kept leading monomial; a mask with a bit that e's
+    # (mask, exps) of each minimal leading monomial; a mask with a bit that e's
     # mask lacks rules divisibility out before the exponents are compared
-    kept: list = []
+    leads: list = []
     for g in G_sorted:
         h = g.leading_monomial()
         e = order.exps(h)
         m = table.mask(h)
-        if not any(not mk & ~m and all(map(le, ek, e)) for mk, ek in kept):
+        if not any(not mk & ~m and all(map(le, ek, e)) for mk, ek in leads):
             table.insert(len(minimal), g)
             minimal.append(g)
-            kept.append((m, e))
+            leads.append((m, e))
     out = []
     for g in minimal:
         tail = reduce(Polynomial(ctx, g.terms[1:]), table)

@@ -257,9 +257,10 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     order of G, so callers control the reducer preference by sorting G.
     A step reuses the reducer multiple the table keeps for its quotient and
     calls mul only for one it does not keep; the second use of a quotient
-    keeps its products in the table for later calls. The kept multiples
-    change no result, step or comparison: a product is looked up and, if new
-    to the remainder, inserted by cmp exactly as a freshly built one.
+    keeps its products in the table for later steps and calls. The kept
+    multiples change no result, step or comparison: a product is looked up
+    and, if new to the remainder, inserted by cmp exactly as a freshly built
+    one.
     Raises TimeLimitExceeded when a deadline (perf_counter timestamp) passes.
     """
     ctx = f.context
