@@ -11,10 +11,8 @@ from .ordering import (
     GREATER,
     LESS,
     WeightMatrix,
-    cmp_by_matrix,
     cmp_degrevlex,
     cmp_lex,
-    cmp_subtotal,
     degrevlex_weight_matrix,
     identity_weight_matrix,
     is_admissible,

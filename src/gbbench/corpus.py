@@ -214,13 +214,17 @@ def parse_system(text: str, *, name: str | None = None, clear: bool = False) -> 
             names = rest.split()
             if not names:
                 raise ParseError("vars line lists no variables", lineno, col0)
+            at = 0
             for nm in names:
+                # only whitespace lies between at and the token, so this finds it
+                at = rest.index(nm, at)
                 if not (nm[0].isalpha() or nm[0] == "_") or not all(
                         c.isalnum() or c == "_" for c in nm):
-                    raise ParseError(f"bad variable name {nm!r}", lineno, col0 + rest.index(nm))
+                    raise ParseError(f"bad variable name {nm!r}", lineno, col0 + at)
                 if nm in varidx:
-                    raise ParseError(f"duplicate variable {nm!r}", lineno, col0 + rest.index(nm))
+                    raise ParseError(f"duplicate variable {nm!r}", lineno, col0 + at)
                 varidx[nm] = len(varidx)
+                at += len(nm)
             variables = tuple(names)
             names_lf = sorted(names, key=len, reverse=True)
         elif key == _POLY_KEY:

@@ -16,6 +16,10 @@ Two families of total-degree orders are implemented side by side:
   subtotal needs no separate tie-break pass. orders_equivalent_certificate
   applied to the two weight matrices proves the equivalence exactly.
 
+An order's comparator is the cmp of its strategy class below, the one body
+the engine runs. cmp_degrevlex is a free copy of the degRevLex rule, kept as
+the independent reference every order is checked against.
+
 Each family also has a weight-matrix presentation: w(a) = W @ a compared
 lexicographically. subtotal_weight_matrix and degrevlex_weight_matrix build
 the canonical matrices; orders_equivalent_certificate proves two matrices
@@ -26,7 +30,7 @@ positive diagonal.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from math import lcm
 from operator import add as _add, mul as _mul, sub as _sub
 
@@ -55,19 +59,6 @@ def cmp_degrevlex(a, b) -> int:
         if ak != bk:
             # reversed sense: larger exponent in a less main variable loses
             return LESS if ak > bk else GREATER
-    return EQUAL
-
-
-def cmp_subtotal(a, b) -> int:
-    """Subtotal comparison: prefix sums A_k, B_k compared from k = n down to 1."""
-    _check_pair(a, b)
-    A = list(accumulate(a))
-    B = list(accumulate(b))
-    for k in range(len(A) - 1, -1, -1):
-        ak = A[k]
-        bk = B[k]
-        if ak != bk:
-            return GREATER if ak > bk else LESS
     return EQUAL
 
 
@@ -240,26 +231,6 @@ def identity_weight_matrix(n: int) -> WeightMatrix:
     return WeightMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-def cmp_by_matrix(w: WeightMatrix, a, b) -> int:
-    """Compare under the matrix order, interleaving the product with the test.
-
-    Row weights are applied to the difference a - b one row at a time, and the
-    scan stops at the first row with a nonzero signed result, so a decided
-    comparison never touches the remaining rows.
-    """
-    _check_pair(a, b)
-    if len(a) != w.n:
-        raise ValueError(f"exponent vector of length {len(a)} against {w.n}x{w.n} matrix")
-    for row in w.rows:
-        s = 0
-        for wj, x, y in zip(row, a, b):
-            if wj:
-                s += wj * (x - y)
-        if s:
-            return GREATER if s > 0 else LESS
-    return EQUAL
-
-
 def is_admissible(w: WeightMatrix) -> bool:
     """Admissible = a genuine term order on monomials.
 
@@ -302,6 +273,17 @@ def orders_equivalent_certificate(w1: WeightMatrix, w2: WeightMatrix):
 ORACLE_MAX_PAIRS = 10**7
 
 
+def _matrix_sign(w: WeightMatrix, d) -> int:
+    """Sign of the first nonzero entry of W @ d: how the matrix order of w
+    ranks a against b when d = a - b. Any square matrix, singular or
+    inadmissible, has one."""
+    for row in w.rows:
+        s = sum(map(_mul, row, d))
+        if s:
+            return GREATER if s > 0 else LESS
+    return EQUAL
+
+
 def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int):
     """Brute-force check of order agreement on all pairs of exponent vectors
     with entries <= max_degree. Returns None on agreement, else the first
@@ -311,10 +293,10 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
 
     A matrix order decides a vs b from W(a - b) alone, so only the
     ((2D + 1)^n - 1) / 2 differences d in [-D, D]^n with a positive first
-    nonzero entry are compared, as the pair (d+, d-) of their positive and
-    negative parts; -d gets the opposite verdict. The earliest pair with
-    difference d or -d is (d-, d+), so the first disagreeing pair is the
-    least such (d-, d+)."""
+    nonzero entry are compared, by the sign of W1 d against that of W2 d;
+    -d gets the opposite verdicts. With d+ and d- the positive and negative
+    parts of d, the earliest pair with difference d or -d is (d-, d+), so
+    the first disagreeing pair is the least such (d-, d+)."""
     if w1.n != w2.n:
         raise ValueError(f"size mismatch: {w1.n} vs {w2.n}")
     n = w1.n
@@ -329,9 +311,9 @@ def orders_equivalent_oracle(w1: WeightMatrix, w2: WeightMatrix, max_degree: int
     for d in product(range(-max_degree, max_degree + 1), repeat=n):
         if d <= zero:  # first nonzero entry not positive: -d covers it
             continue
-        pos = tuple(x if x > 0 else 0 for x in d)
-        neg = tuple(-x if x < 0 else 0 for x in d)
-        if cmp_by_matrix(w1, pos, neg) != cmp_by_matrix(w2, pos, neg):
+        if _matrix_sign(w1, d) != _matrix_sign(w2, d):
+            pos = tuple(x if x > 0 else 0 for x in d)
+            neg = tuple(-x if x < 0 else 0 for x in d)
             if witness is None or (neg, pos) < witness:
                 witness = (neg, pos)
     return witness

@@ -27,10 +27,11 @@ from gbbench.groebner import buchberger, reduce_basis
 from gbbench.modfield import PrimeField
 from gbbench.ordering import (
     ORACLE_MAX_PAIRS,
+    DegRevLexOrder,
+    MatrixDirectOrder,
+    SubtotalOrder,
     WeightMatrix,
-    cmp_by_matrix,
     cmp_degrevlex,
-    cmp_subtotal,
     degrevlex_weight_matrix,
     is_admissible,
     orders_equivalent_certificate,
@@ -60,28 +61,36 @@ def robustness():
     return results
 
 
+def _engine_comparators(n):
+    """The cmp bodies the engine runs: native degRevLex, native subtotal, and
+    the direct matrix order under the subtotal and degRevLex matrices."""
+    return (DegRevLexOrder(n).cmp, SubtotalOrder(n).cmp,
+            MatrixDirectOrder(subtotal_weight_matrix(n)).cmp,
+            MatrixDirectOrder(degrevlex_weight_matrix(n)).cmp)
+
+
 def test_criterion_1_comparator_agreement():
     # exhaustive: all exponent pairs with n <= 4 and entries <= 3,
     # then one million seeded random pairs with n <= 10 and entries <= 100;
-    # the four comparators must agree everywhere, within a 30 s budget
+    # the cmp bodies the engine runs must agree with the reference
+    # cmp_degrevlex everywhere, within a 30 s budget
     t0 = perf_counter()
     checked = 0
     for n in range(1, 5):
-        wsub = subtotal_weight_matrix(n)
-        wdeg = degrevlex_weight_matrix(n)
+        deg, sub, wsub, wdeg = _engine_comparators(n)
         vectors = list(product(range(4), repeat=n))
         for a in vectors:
             for b in vectors:
                 r = cmp_degrevlex(a, b)
-                assert cmp_subtotal(a, b) == r, (a, b)
-                assert cmp_by_matrix(wsub, a, b) == r, (a, b)
-                assert cmp_by_matrix(wdeg, a, b) == r, (a, b)
+                assert deg(a, b) == r, (a, b)
+                assert sub(a, b) == r, (a, b)
+                assert wsub(a, b) == r, (a, b)
+                assert wdeg(a, b) == r, (a, b)
                 checked += 1
     exhaustive = checked
     rng = random.Random(414243)
     for n in range(1, 11):
-        wsub = subtotal_weight_matrix(n)
-        wdeg = degrevlex_weight_matrix(n)
+        deg, sub, wsub, wdeg = _engine_comparators(n)
         m = 100_000
         vals = rng.choices(range(101), k=2 * n * m)
         pos = 0
@@ -89,9 +98,10 @@ def test_criterion_1_comparator_agreement():
             a = tuple(vals[pos:pos + n]); pos += n
             b = tuple(vals[pos:pos + n]); pos += n
             r = cmp_degrevlex(a, b)
-            assert cmp_subtotal(a, b) == r, (a, b)
-            assert cmp_by_matrix(wsub, a, b) == r, (a, b)
-            assert cmp_by_matrix(wdeg, a, b) == r, (a, b)
+            assert deg(a, b) == r, (a, b)
+            assert sub(a, b) == r, (a, b)
+            assert wsub(a, b) == r, (a, b)
+            assert wdeg(a, b) == r, (a, b)
             checked += 1
     elapsed = perf_counter() - t0
     assert checked == exhaustive + 1_000_000

@@ -1,11 +1,15 @@
 import csv
+import importlib
 import json
+import pkgutil
+import re
 import shlex
 import time
 from pathlib import Path
 
 import pytest
 
+import gbbench
 from gbbench import bench, cli, corpus
 from gbbench.cli import main
 from gbbench.ordering import degrevlex_weight_matrix, identity_weight_matrix, subtotal_weight_matrix
@@ -334,3 +338,49 @@ def test_readme_command_lines_parse():
             assert set(args.orders.split(",")) <= set(bench.ORDER_LABELS), line
         if args.command in ("run", "verify"):
             assert set(args.bundled) <= {"all", *corpus.BUNDLED_KEYS}, line
+
+
+# a Python name, optionally dotted, optionally with a call's arguments
+_README_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+_FILE_SUFFIXES = {"csv", "json", "md", "py", "toml", "txt"}
+
+
+def _unresolved_names(text: str) -> list:
+    """Backticked snake_case or dotted names in text that are no attribute of
+    the gbbench package or of one of its modules. File names are skipped; a
+    leading gbbench. is optional."""
+    owners = [gbbench] + [importlib.import_module(f"gbbench.{m.name}")
+                          for m in pkgutil.iter_modules(gbbench.__path__)]
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        m = _README_NAME.fullmatch(span)
+        if m is None or not ("_" in m[1] or "." in m[1]):
+            continue
+        parts = m[1].split(".")
+        if parts[-1] in _FILE_SUFFIXES:
+            continue
+        if parts[0] == "gbbench":
+            parts = parts[1:]
+        if not any(_has_path(obj, parts) for obj in owners):
+            missing.append(m[1])
+    return missing
+
+
+def _has_path(obj, parts) -> bool:
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _unresolved_names(readme) == []
+
+
+def test_the_check_sees_a_stale_readme_name():
+    text = ("`cmp_subtotal` and `ordering.cmp_by_matrix`, beside `poly.reduce`, "
+            "`verify_failure(G, F)`, `gbbench.bench.published_reference_ratios()`, "
+            "`_update`, `__init__.py`, `pyproject.toml` and `run -o`")
+    assert _unresolved_names(text) == ["cmp_subtotal", "ordering.cmp_by_matrix"]

@@ -102,6 +102,10 @@ def test_parse_error_positions():
     ("vars: x\nvars: y\n", 2, 1, "duplicate vars line"),
     ("vars:   \n", 1, 6, "vars line lists no variables"),
     ("vars: x 1y\n", 1, 9, "bad variable name '1y'"),
+    # the column is the offending token's, not that of an earlier match
+    ("vars: x x\n", 1, 9, "duplicate variable 'x'"),
+    ("vars: ab b b\n", 1, 12, "duplicate variable 'b'"),
+    ("vars: x1y 1y\n", 1, 11, "bad variable name '1y'"),
     ("vars: x\nterm: x\n", 2, 1, "unknown key 'term'"),
     # the two end-of-text checks point at the last line
     ("name: a\n", 1, 1, "missing vars line"),

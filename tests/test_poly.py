@@ -1,4 +1,5 @@
 import random
+import signal
 import time
 
 import pytest
@@ -420,8 +421,18 @@ def test_reduce_deadline_trips():
         reduce(f, [g], deadline=time.perf_counter() - 1.0, stats=stats)
     # the steps done up to the first poll are counted before the raise
     assert stats.reduction_steps == _DEADLINE_STRIDE
-    # same reduction without the deadline terminates with x^k -> 1
-    assert reduce(f, [g]).as_tuples() == (((0,), 1),)
+    # same reduction without the deadline terminates with x^k -> 1; an alarm
+    # turns a reduce that cycles into a failure instead of a hung suite
+    def on_alarm(signum, frame):
+        raise AssertionError("reduce without a deadline still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        assert reduce(f, [g]).as_tuples() == (((0,), 1),)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_polynomial_with_cached_matrix_order():
