@@ -459,9 +459,9 @@ class RobustnessResult:
 
 def verify_order_robustness(spec: SystemSpec, *, modulus: int = DEFAULT_MODULUS,
                             max_seconds: float = DEFAULT_TIME_LIMIT,
-                            strategies=tuple(STRATEGIES),
-                            stop_on_abort: bool = True) -> RobustnessResult:
-    """Run every (order, strategy) configuration and cross-check the results.
+                            strategies=tuple(STRATEGIES)) -> RobustnessResult:
+    """Run every (order, strategy) configuration and cross-check the results;
+    the first configuration that aborts ends the run, with what it has so far.
 
     Checks that all completed runs yield the identical reduced basis (term for
     term, as exponent/coefficient tuples), that cached weight vectors audit
@@ -486,10 +486,8 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = DEFAULT_MODULUS,
             res = buchberger(polys, strategy=kind, max_seconds=max_seconds)
             if res.aborted:
                 aborted.append((label, kind))
-                if stop_on_abort:
-                    return RobustnessResult(spec.name, completed, aborted, bases_match,
-                                            verified, audits_clean, basis_size)
-                continue
+                return RobustnessResult(spec.name, completed, aborted, bases_match,
+                                        verified, audits_clean, basis_size)
             completed.append((label, kind))
             red = reduce_basis(res.basis)
             tuples = [g.as_tuples() for g in red]

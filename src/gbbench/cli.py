@@ -230,11 +230,10 @@ def cmd_check_matrix(args, parser) -> int:
             cert = None
         print(f"  same order as {fam_name}(n={w.n}): {'yes' if cert is not None else 'no'}")
     if w2 is not None:
-        cert = None
         try:
             cert = orders_equivalent_certificate(w2, w)
         except ValueError:
-            pass
+            cert = None
         if cert is not None:
             print(f"equivalent to {args.against}: yes (lower-triangular certificate)")
         else:

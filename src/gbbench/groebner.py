@@ -14,7 +14,6 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from operator import attrgetter, le, mul
 from time import perf_counter
 from typing import NamedTuple
@@ -50,23 +49,19 @@ class GroebnerResult:
 class LeadTable:
     """Leading monomials of the partial basis, by basis index, three ways.
 
-    exps holds each exponent tuple, masks its one-bit-per-variable mask (bit
-    v set iff variable v occurs, as in poly.Reducers) and cols[v] the
-    exponents of variable v, so the Gebauer-Moeller update builds every
-    candidate lcm with one comprehension per variable and tests coprimality
-    and divisibility on masks before touching exponents.
+    exps holds each exponent tuple, masks its one-bit-per-variable mask
+    (poly.Reducers.mask) and cols[v] the exponents of variable v, so the
+    Gebauer-Moeller update builds every candidate lcm with one comprehension
+    per variable and tests coprimality and divisibility on masks before
+    touching exponents.
     """
 
-    __slots__ = ("bits", "exps", "masks", "cols")
+    __slots__ = ("exps", "masks", "cols")
 
     def __init__(self, n: int):
-        self.bits = tuple(1 << v for v in range(n))
         self.exps: list = []
         self.masks: list = []
         self.cols: list = [[] for _ in range(n)]
-
-    def mask(self, e) -> int:
-        return sum(compress(self.bits, e))
 
     def append(self, e, mask: int) -> None:
         self.exps.append(e)
@@ -75,8 +70,9 @@ class LeadTable:
             col.append(x)
 
 
-def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
-    """Add the leading monomial eh of a new basis element and rework P.
+def _update(lead: LeadTable, P, eh, mh: int, stats, pair_key) -> None:
+    """Add the leading monomial eh, with mask mh, of a new basis element and
+    rework P.
 
     Candidate pairs (i, t) are grouped by lcm; only divisibility-minimal lcm
     classes survive (iterating by ascending degree guarantees divisors are
@@ -92,7 +88,6 @@ def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
     t = len(lead.exps)
     exps = lead.exps
     masks = lead.masks
-    mh = lead.mask(eh)
     skipped = 0
 
     kept = []
@@ -219,15 +214,15 @@ def buchberger(F, *, strategy: str = INDUCED_ORDER,
     red_keys: list = []
 
     def add(g: Polynomial) -> None:
-        # new pairs against the current G first, then g joins G and the reducers
+        # the reducers mask lm(g) once, for their table and for _update
         h = g.leading_monomial()
         eg = order.exps(h)
-        _update(lead, P, eg, stats, pair_key)
         k = reducer_key(h, eg, len(G))
-        G.append(g)
         at = bisect_right(red_keys, k)
         red_keys.insert(at, k)
         reducers.insert(at, g)
+        _update(lead, P, eg, reducers.entries[at][1], stats, pair_key)
+        G.append(g)
 
     aborted = False
     basis = None

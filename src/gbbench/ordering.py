@@ -30,7 +30,7 @@ positive diagonal.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from operator import add as _add, mul as _mul, sub as _sub
 
@@ -109,47 +109,43 @@ class WeightMatrix:
             tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.rows)
         )
 
-    def inverse(self) -> "WeightMatrix":
-        """Exact inverse by Gauss-Jordan elimination; ValueError if singular."""
+    def _adjugate(self):
+        """The elimination behind inverse: (D, det, adj), or None if singular."""
         n = self.n
-        # Fractions throughout: an int pivot would divide to a float
-        aug = [list(map(Fraction, row + tuple(int(i == j) for j in range(n)))) for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular weight matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return WeightMatrix(tuple(tuple(row[n:]) for row in aug))
-
-    def is_singular(self) -> bool:
-        """Fraction-free (Bareiss) elimination on the rows scaled to integers;
-        scaling a row by a nonzero factor does not change singularity."""
-        n = self.n
-        M = []
-        for row in self.rows:
-            d = lcm(*(x.denominator for x in row))
-            M.append([x.numerator * (d // x.denominator) for x in row])
+        D = [lcm(*(x.denominator for x in row)) for row in self.rows]
+        M = [[x.numerator * (d // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+             for i, (row, d) in enumerate(zip(self.rows, D))]
         prev = 1
         for k in range(n):
-            piv = next((r for r in range(k, n) if M[r][k]), None)
+            # step k reads column k and no earlier one, so each row starts there
+            piv = next((r for r in range(k, n) if M[r][0]), None)
             if piv is None:
-                return True
+                return None
             M[k], M[piv] = M[piv], M[k]
-            mk = M[k]
-            pk = mk[k]
-            for i in range(k + 1, n):
-                mi = M[i]
-                f = mi[k]
-                for j in range(k + 1, n):
-                    mi[j] = (mi[j] * pk - f * mk[j]) // prev
+            pk, *tail = M[k]
+            for i, mi in enumerate(M):
+                f = mi[0]
+                M[i] = [(x * pk - f * y) // prev for x, y in zip(islice(mi, 1, None), tail)] if i != k else tail
             prev = pk
-        return False
+        return D, prev, M
+
+    def inverse(self) -> "WeightMatrix":
+        """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss,
+        Math. Comp. 22, 1968) on [DW | I] in integers, D scaling each row of W
+        by the lcm of its denominators; ValueError if singular.
+
+        Step k sets every row but the pivot row to (pivot * x - f * y) // prev,
+        prev the pivot of step k - 1. By Sylvester's identity each new entry is,
+        up to sign, a minor of order k + 1 of the row-permuted [DW | I] and the
+        numerator is prev times it, so every division is exact. The last step
+        leaves [det * I | adj], det the last pivot and adj = det * (DW)^-1, so
+        W^-1 = adj * D / det.
+        """
+        got = self._adjugate()
+        if got is None:
+            raise ValueError("singular weight matrix")
+        D, det, adj = got
+        return WeightMatrix(tuple(tuple(Fraction(x * d, det) for x, d in zip(row, D)) for row in adj))
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -236,13 +232,14 @@ def is_admissible(w: WeightMatrix) -> bool:
 
     Requires (a) the topmost nonzero entry of every column to be positive, so
     1 is the least monomial and multiplication is order-preserving, and
-    (b) nonsingularity, so distinct monomials never compare equal.
+    (b) nonsingularity, so distinct monomials never compare equal; the
+    elimination behind WeightMatrix.inverse decides it.
     """
     for j in range(w.n):
         top = next((w.rows[i][j] for i in range(w.n) if w.rows[i][j] != 0), None)
         if top is None or top < 0:
             return False
-    return not w.is_singular()
+    return w._adjugate() is not None
 
 
 def orders_equivalent_certificate(w1: WeightMatrix, w2: WeightMatrix):

@@ -37,25 +37,21 @@ class PolyContext:
         self.order = order
 
     def polynomial(self, pairs) -> "Polynomial":
-        """Build from (exps, coeff) pairs; any order, duplicates merged."""
+        """Build from (exps, coeff) pairs in any order; the coefficients of a
+        repeated monomial add up by handle, so only distinct ones are sorted."""
         order = self.order
         p = self.field.p
-        attached = []
+        acc: dict = {}
         for exps, coeff in pairs:
             exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise ValueError(f"exponent vector {exps} has {len(exps)} entries, context has {self.nvars}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            attached.append((order.attach(exps), coeff % p))
-        attached.sort(key=cmp_to_key(lambda s, t: order.cmp(s[0], t[0])), reverse=True)
-        merged: list = []
-        for h, c in attached:
-            if merged and merged[-1][0] == h:
-                merged[-1][1] = (merged[-1][1] + c) % p
-            else:
-                merged.append([h, c])
-        return Polynomial(self, tuple((h, c) for h, c in merged if c))
+            h = order.attach(exps)
+            acc[h] = (acc.get(h, 0) + coeff) % p
+        hs = sorted(acc, key=cmp_to_key(order.cmp), reverse=True)
+        return Polynomial(self, tuple((h, acc[h]) for h in hs if acc[h]))
 
     def __repr__(self) -> str:
         return f"PolyContext(nvars={self.nvars}, p={self.field.p}, order={self.order.label})"
@@ -286,7 +282,6 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     pending = [key(h) for h, _ in reversed(f.terms)]
     out: list = []
     steps = 0
-    tick = 0
     while pending:
         h = pending.pop().obj
         c = acc.pop(h)[0] % p
@@ -304,14 +299,10 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
             out.append((h, c))
             continue
         steps += 1
-        if deadline is not None:
-            tick += 1
-            if tick >= _DEADLINE_STRIDE:
-                tick = 0
-                if perf_counter() > deadline:
-                    if stats is not None:
-                        stats.reduction_steps += steps
-                    raise TimeLimitExceeded
+        if deadline is not None and not steps % _DEADLINE_STRIDE and perf_counter() > deadline:
+            if stats is not None:
+                stats.reduction_steps += steps
+            raise TimeLimitExceeded
         # the reducer is monic: the head cancels against c * q * lm_g exactly
         factor = p - c
         # the products of q over the tail: built by mul on q's first two

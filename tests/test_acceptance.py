@@ -56,8 +56,7 @@ def robustness():
              load_bundled("lichtblau3"), load_bundled("mathematica_help")]
     results = {}
     for spec in specs:
-        results[spec.name] = verify_order_robustness(
-            spec, max_seconds=120.0, stop_on_abort=False)
+        results[spec.name] = verify_order_robustness(spec, max_seconds=120.0)
     return results
 
 
@@ -151,7 +150,8 @@ def test_criterion_4_cross_order_basis_identity(robustness):
     for name in ROBUSTNESS_SYSTEMS:
         res = robustness[name]
         if res.aborted:
-            notes.append(f"{name}: ABORTED {len(res.aborted)}/{runs_per_system}")
+            notes.append(f"{name}: ABORTED at {res.aborted[0]} after "
+                         f"{len(res.completed)}/{runs_per_system}")
             if res.completed:
                 assert res.bases_match is True, name
             continue

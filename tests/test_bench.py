@@ -383,12 +383,6 @@ def test_verify_order_robustness_stop_on_abort():
     assert len(res.aborted) == 1
     assert res.bases_match is None
     assert res.verified is None
-    # without stopping, every configuration is attempted and aborts
-    res = verify_order_robustness(cyclic_system(6), max_seconds=1e-6, stop_on_abort=False)
-    assert not res.ok
-    assert res.completed == []
-    assert len(res.aborted) == len(ORDER_LABELS) * 2 == 12
-    assert res.verified is None
 
 
 @st.composite

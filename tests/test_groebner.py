@@ -306,7 +306,7 @@ def test_update_matches_straightforward_oracle(run, cached, weighted):
     for eh, pick in run:
         t = len(lm_exps)
         before = order.comparisons
-        _update(lead, P, eh, got, keys)
+        _update(lead, P, eh, sum(1 << v for v, x in enumerate(eh) if x), got, keys)
         made = order.comparisons - before
         _update_oracle(lm_exps, Q, eh, want, pair_key)
         assert sorted(pr[:3] for pr in P) == sorted(pr[:3] for pr in Q)

@@ -173,34 +173,63 @@ def test_matrix_matmul_and_inverse():
 
 def test_singular_matrix_detected():
     m = WeightMatrix([(1, 1), (1, 1)])
-    assert m.is_singular()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular weight matrix"):
         m.inverse()
-    assert not subtotal_weight_matrix(5).is_singular()
+    assert not is_admissible(m)
+    assert is_admissible(subtotal_weight_matrix(5))
 
 
-def test_singular_verdict_matches_inverse():
-    # is_singular eliminates fraction-free; inverse() is the Fraction reference
+def _leibniz_det(rows):
+    """Determinant as the signed sum over all permutations, in Fractions."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) if inversions % 2 else Fraction(1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_inverse_agrees_with_leibniz_determinant():
+    # inverse() raises exactly when the Leibniz determinant is 0 and
+    # otherwise inverts on both sides
+    f = Fraction
+    cases = [
+        [(0, 1), (1, 0)],                                # zero leading pivot, det -1
+        [(0, 2, 1), (1, 0, 0), (0, 0, 3)],               # zero leading pivot, det -6
+        [(0, 0, 1), (0, 1, 0), (1, 0, 0)],               # anti-identity, det -1
+        [(1, 2, 3), (2, 4, 6), (0, 1, 1)],               # swap at column 2, then singular
+        [(0, 5), (0, 1)],                                # no pivot in column 1
+        [(f(1, 2), f(1, 3)), (f(-2, 5), 1)],             # fractional rows, det 19/30
+        [(f(1, 3), f(2, 3)), (f(1, 2), 1)],              # fractional rows, singular
+        [(0, f(1, 7), 0), (f(3, 2), 1, 0), (1, 1, f(-1, 4))],  # fractional, swap
+    ]
     rng = random.Random(11)
-    verdicts = set()
     for _ in range(500):
         n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7))) for _ in range(n)]
-                for _ in range(n)]
+        den = rng.choice(((1,), (1, 1, 2, 3, 7)))
+        rows = [[f(rng.randint(-3, 3), rng.choice(den)) for _ in range(n)] for _ in range(n)]
         if n > 2 and rng.random() < 0.4:
             # make row i a rational combination of rows j and k
             i, j, k = rng.sample(range(n), 3)
-            c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            c = f(rng.randint(-4, 4), rng.randint(1, 5))
             rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])]
+        cases.append(rows)
+    signs = set()
+    for rows in cases:
         w = WeightMatrix(rows)
-        try:
-            w.inverse()
-            want = False
-        except ValueError:
-            want = True
-        assert w.is_singular() == want, rows
-        verdicts.add(want)
-    assert verdicts == {True, False}
+        det = _leibniz_det(w.rows)
+        if det == 0:
+            with pytest.raises(ValueError, match="singular weight matrix"):
+                w.inverse()
+        else:
+            ident = identity_weight_matrix(w.n)
+            inv = w.inverse()
+            assert w @ inv == ident and inv @ w == ident, rows
+        signs.add((det > 0) - (det < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_matrix_text_round_trip():
