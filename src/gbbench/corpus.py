@@ -9,10 +9,10 @@ System file format, line oriented, '#' starts a comment line:
 
 Polynomial grammar: terms joined by + and -, each term an optional integer or
 rational coefficient followed by variable factors; '^' raises to a
-nonnegative integer power and '*' between factors is optional. Rational
-coefficients are rejected unless denominator clearing is requested. Raw term
-lists are preserved exactly (order, duplicates, explicit zeros), so
-parse(render(spec)) == spec.
+nonnegative integer power and '*' between factors is optional. Integers are
+runs of decimal digits. Rational coefficients are rejected unless denominator
+clearing is requested. Raw term lists are preserved exactly (order,
+duplicates, explicit zeros), so parse(render(spec)) == spec.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from importlib import resources
 from .modfield import PrimeField
 from .ordering import MonomialOrder
 from .poly import PolyContext, format_terms
-
-_NAME_KEY = "name"
-_PROV_KEY = "provenance"
-_VARS_KEY = "vars"
-_POLY_KEY = "poly"
-
 
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
@@ -68,128 +62,112 @@ class SystemSpec:
 
 
 def _tokenize_poly(s: str, lineno: int, col0: int, names_longest_first) -> list:
+    """(kind, value, column) tokens, closed by an end token at the end of the line."""
     toks = []
     i = 0
     while i < len(s):
         ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = col0 + i
+        j = i + 1
         if ch in "+-^*/":
-            toks.append((ch, ch, col))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
+            toks.append((ch, ch, col0 + i))
+        elif ch.isdecimal():  # exactly the digits int() accepts
+            while j < len(s) and s[j].isdecimal():
                 j += 1
-            toks.append(("int", int(s[i:j]), col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
+            toks.append(("int", int(s[i:j]), col0 + i))
+        elif ch.isalpha() or ch == "_":
             for nm in names_longest_first:
                 if s.startswith(nm, i):
-                    toks.append(("var", nm, col))
-                    i += len(nm)
                     break
             else:
-                j = i
                 while j < len(s) and (s[j].isalnum() or s[j] == "_"):
                     j += 1
-                raise ParseError(f"undeclared variable {s[i:j]!r}", lineno, col)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, col)
+                raise ParseError(f"undeclared variable {s[i:j]!r}", lineno, col0 + i)
+            toks.append(("var", nm, col0 + i))
+            j = i + len(nm)
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", lineno, col0 + i)
+        i = j
+    toks.append(("end", None, col0 + len(s)))
     return toks
+
+
+_OPERAND_ERRORS = {"/": "expected an integer denominator",
+                   "^": "expected an integer exponent after '^'"}
+
+
+def _operand(toks, i: int, lineno: int) -> int:
+    """The integer after the operator toks[i]; an operator's operand must be one."""
+    if toks[i + 1][0] != "int":
+        raise ParseError(_OPERAND_ERRORS[toks[i][0]], lineno, toks[i][2])
+    return toks[i + 1][1]
 
 
 def _parse_poly(s: str, lineno: int, col0: int, varidx: dict, names_longest_first,
                 allow_rational: bool) -> tuple:
     toks = _tokenize_poly(s, lineno, col0, names_longest_first)
-    if not toks:
+    if toks[0][0] == "end":
         raise ParseError("empty polynomial", lineno, col0)
-    n = len(varidx)
     terms = []
     i = 0
-    sign = 1
-    if toks[i][0] in "+-":
-        sign = -1 if toks[i][0] == "-" else 1
-        i += 1
     while True:
-        term_col = toks[i][2] if i < len(toks) else col0 + len(s)
-        coeff = Fraction(sign)
-        exps = [0] * n
-        seen = False
-        if i < len(toks) and toks[i][0] == "int":
-            num = toks[i][1]
-            num_col = toks[i][2]
+        kind, _, col = toks[i]
+        sign = -1 if kind == "-" else 1
+        if kind in "+-":  # optional before the first term, required before the others
             i += 1
-            if i < len(toks) and toks[i][0] == "/":
-                slash_col = toks[i][2]
-                i += 1
-                if i >= len(toks) or toks[i][0] != "int":
-                    raise ParseError("expected an integer denominator", lineno, slash_col)
-                den = toks[i][1]
-                i += 1
+            if terms and toks[i][0] == "end":
+                raise ParseError("dangling sign", lineno, col)
+        kind, num, term_col = toks[i]
+        seen = kind == "int"
+        den = 1
+        if seen:
+            i += 1
+            if toks[i][0] == "/":
+                den = _operand(toks, i, lineno)
                 if den == 0:
-                    raise ParseError("zero denominator", lineno, slash_col)
-                coeff *= Fraction(num, den)
-                if not allow_rational and coeff.denominator != 1:
-                    raise ParseError(
-                        "rational coefficient (enable denominator clearing)", lineno, num_col)
-            else:
-                coeff *= num
-            seen = True
-            if i < len(toks) and toks[i][0] == "*":
-                star_col = toks[i][2]
+                    raise ParseError("zero denominator", lineno, toks[i][2])
+                i += 2
+        coeff = Fraction(sign * num if seen else sign, den)
+        if coeff.denominator != 1 and not allow_rational:
+            raise ParseError("rational coefficient (enable denominator clearing)", lineno, term_col)
+        exps = [0] * len(varidx)
+        while True:  # factors; a '*' after the coefficient or a factor needs a variable
+            kind, nm, col = toks[i]
+            if kind == "*" and seen:
                 i += 1
-                if i >= len(toks) or toks[i][0] != "var":
-                    raise ParseError("expected a variable after '*'", lineno, star_col)
-        while i < len(toks) and toks[i][0] == "var":
-            v = varidx[toks[i][1]]
+                kind, nm, _ = toks[i]
+                if kind != "var":
+                    raise ParseError("expected a variable after '*'", lineno, col)
+            if kind != "var":
+                break
             i += 1
             e = 1
-            if i < len(toks) and toks[i][0] == "^":
-                caret_col = toks[i][2]
-                i += 1
-                if i >= len(toks) or toks[i][0] != "int":
-                    raise ParseError("expected an integer exponent after '^'", lineno, caret_col)
-                e = toks[i][1]
-                i += 1
-            exps[v] += e
+            if toks[i][0] == "^":
+                e = _operand(toks, i, lineno)
+                i += 2
+            exps[varidx[nm]] += e
             seen = True
-            if i < len(toks) and toks[i][0] == "*":
-                star_col = toks[i][2]
-                i += 1
-                if i >= len(toks) or toks[i][0] != "var":
-                    raise ParseError("expected a variable after '*'", lineno, star_col)
         if not seen:
             raise ParseError("empty term", lineno, term_col)
         terms.append((coeff, tuple(exps)))
-        if i >= len(toks):
-            break
         kind, _, col = toks[i]
-        if kind in "+-":
-            sign = -1 if kind == "-" else 1
-            i += 1
-            if i >= len(toks):
-                raise ParseError("dangling sign", lineno, col)
-        else:
+        if kind == "end":
+            return tuple(terms)
+        if kind not in "+-":
             raise ParseError(f"unexpected {kind!r}", lineno, col)
-    return tuple(terms)
+
+
+_HEADER_KEYS = ("name", "provenance", "vars")  # each at most once per file
 
 
 def parse_system(text: str, *, name: str | None = None, clear: bool = False) -> SystemSpec:
     """Parse the system text format; errors carry 1-based line and column.
 
+    A missing or blank name line gives the name argument, else 'unnamed'.
     clear=True accepts rational coefficients and multiplies each polynomial
     through by the least common multiple of its denominators.
     """
-    sys_name = None
-    provenance = None
-    variables = None
+    header: dict = {}
     varidx: dict = {}
-    names_lf: list = []
     polys = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -200,49 +178,41 @@ def parse_system(text: str, *, name: str | None = None, clear: bool = False) -> 
         key, _, rest = raw.partition(":")
         key = key.strip()
         col0 = len(raw) - len(rest) + 1
-        if key == _NAME_KEY:
-            if sys_name is not None:
-                raise ParseError("duplicate name line", lineno, 1)
-            sys_name = rest.strip()
-        elif key == _PROV_KEY:
-            if provenance is not None:
-                raise ParseError("duplicate provenance line", lineno, 1)
-            provenance = rest.strip()
-        elif key == _VARS_KEY:
-            if variables is not None:
-                raise ParseError("duplicate vars line", lineno, 1)
-            names = rest.split()
-            if not names:
-                raise ParseError("vars line lists no variables", lineno, col0)
-            at = 0
-            for nm in names:
-                # only whitespace lies between at and the token, so this finds it
-                at = rest.index(nm, at)
-                if not (nm[0].isalpha() or nm[0] == "_") or not all(
-                        c.isalnum() or c == "_" for c in nm):
-                    raise ParseError(f"bad variable name {nm!r}", lineno, col0 + at)
-                if nm in varidx:
-                    raise ParseError(f"duplicate variable {nm!r}", lineno, col0 + at)
-                varidx[nm] = len(varidx)
-                at += len(nm)
-            variables = tuple(names)
-            names_lf = sorted(names, key=len, reverse=True)
-        elif key == _POLY_KEY:
-            if variables is None:
+        if key in _HEADER_KEYS:
+            if key in header:
+                raise ParseError(f"duplicate {key} line", lineno, 1)
+            header[key] = rest.strip()
+            if key == "vars":
+                if not header[key]:
+                    raise ParseError("vars line lists no variables", lineno, col0)
+                at = 0
+                for nm in rest.split():
+                    # only whitespace lies between at and the token, so this finds it
+                    at = rest.index(nm, at)
+                    if not (nm[0].isalpha() or nm[0] == "_") or not all(
+                            c.isalnum() or c == "_" for c in nm):
+                        raise ParseError(f"bad variable name {nm!r}", lineno, col0 + at)
+                    if nm in varidx:
+                        raise ParseError(f"duplicate variable {nm!r}", lineno, col0 + at)
+                    varidx[nm] = len(varidx)
+                    at += len(nm)
+                names_lf = sorted(varidx, key=len, reverse=True)
+        elif key == "poly":
+            if not varidx:
                 raise ParseError("poly line before vars line", lineno, 1)
             polys.append(_parse_poly(rest, lineno, col0, varidx, names_lf, allow_rational=clear))
         else:
             raise ParseError(f"unknown key {key!r}", lineno, 1)
     last = max(1, len(text.splitlines()))
-    if variables is None:
+    if not varidx:
         raise ParseError("missing vars line", last, 1)
     if not polys:
         raise ParseError("system has no polynomials", last, 1)
     spec = SystemSpec(
-        name=sys_name if sys_name is not None else (name or "unnamed"),
-        variables=variables,
+        name=header.get("name") or name or "unnamed",
+        variables=tuple(varidx),
         polynomials=tuple(polys),
-        provenance=provenance or "",
+        provenance=header.get("provenance", ""),
     )
     if clear:
         spec = clear_denominators(spec)

@@ -145,8 +145,11 @@ def test_verify_usage_errors(tmp_path, capsys):
     vanishing = tmp_path / "vanishing.txt"
     vanishing.write_text("vars: x y\npoly: 32003*x^2 + 32003*y\n")
     latin = _non_utf8(tmp_path)
+    superscript = tmp_path / "superscript.txt"
+    superscript.write_text("vars: x\npoly: x²\n")
     for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--time-limit", "nan"],
-                ["--time-limit", "inf"], ["--system", latin], ["--system", str(vanishing)]):
+                ["--time-limit", "inf"], ["--system", latin], ["--system", str(superscript)],
+                ["--system", str(vanishing)]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cyclic", "3"] + bad)
         assert exc.value.code == 2, bad
@@ -155,6 +158,9 @@ def test_verify_usage_errors(tmp_path, capsys):
         assert err.startswith("usage: gbbench verify "), bad
         if bad[1] == latin:
             assert err.splitlines()[-1].startswith(f"gbbench verify: error: cannot read {latin}: ")
+        if bad[1] == str(superscript):
+            assert err.splitlines()[-1] == (f"gbbench verify: error: {superscript}: "
+                                            "line 2, column 8: unexpected character '²'"), err
     assert "polynomial 1 vanishes mod 32003" in err
 
 

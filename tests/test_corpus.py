@@ -110,12 +110,30 @@ def test_parse_error_positions():
     # the two end-of-text checks point at the last line
     ("name: a\n", 1, 1, "missing vars line"),
     ("vars: x\n", 1, 1, "system has no polynomials"),
+    # a superscript digit is a digit to str.isdigit() but not to int()
+    ("vars: x\npoly: x²\n", 2, 8, "unexpected character '²'"),
+    ("vars: x\npoly: x^²\n", 2, 9, "unexpected character '²'"),
 ])
 def test_parse_error_message_line_and_column(text, line, col, msg):
     with pytest.raises(ParseError) as err:
         parse_system(text)
     assert (str(err.value), err.value.line, err.value.col) == (
         f"line {line}, column {col}: {msg}", line, col)
+
+
+def test_parse_decimal_digits_of_any_script():
+    spec = parse_system("vars: x\npoly: x^٣ - ٣\n")
+    assert _terms(spec, 0) == [(1, (3,)), (-3, (0,))]
+
+
+def test_blank_name_line_falls_back_like_a_missing_one():
+    text = "name: \t\nvars: x\npoly: x\n"
+    assert parse_system(text, name="stem").name == "stem"
+    spec = parse_system(text)
+    assert spec.name == "unnamed"
+    assert parse_system(render_system(spec)) == spec
+    with pytest.raises(ParseError, match="line 2, column 1: duplicate name line"):
+        parse_system("name:\nname: b\nvars: x\npoly: x\n")
 
 
 def test_rational_coefficients_gated():
@@ -174,6 +192,32 @@ def _integer_specs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_integer_specs())
 def test_render_parse_round_trip_property(spec):
+    assert parse_system(render_system(spec)) == spec
+
+
+# a header, a vars line and signed terms built from pieces the reader must
+# accept or reject cleanly: operators, digits of three kinds, a non-ASCII
+# letter, tabs, a stray symbol and undeclared names
+_FUZZ_PIECES = ("x", "y", "2", "x^2", "y^12", "x", "y", "7", "*x", "/3", "\t", "x1", "xy", "_t",
+                "é", "²", "٣", "$", "q", "^", "*", "/", ":", "#")
+_FUZZ_TEXTS = st.tuples(
+    st.lists(st.sampled_from(("name:", "name: toy", "provenance: here", "provenance:", "",
+                              "# note")), max_size=2),
+    st.sampled_from(("vars: x y", "vars: x y x1 xy _t é", "vars:\tx\ty²")),
+    st.lists(st.lists(st.tuples(
+        st.sampled_from((" + ", " - ", "-", "")),
+        st.lists(st.sampled_from(_FUZZ_PIECES), min_size=1, max_size=3).map("".join)),
+        min_size=1, max_size=4).map(lambda terms: "poly:" + "".join(s + t for s, t in terms)), max_size=3),
+).map(lambda t: "\n".join(t[0] + [t[1]] + t[2]))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_FUZZ_TEXTS, st.booleans())
+def test_parse_raises_only_parse_error_and_round_trips(text, clear):
+    try:
+        spec = parse_system(text, clear=clear)
+    except ParseError:
+        return
     assert parse_system(render_system(spec)) == spec
 
 
