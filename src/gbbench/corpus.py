@@ -73,7 +73,10 @@ def _tokenize_poly(s: str, lineno: int, col0: int, names_longest_first) -> list:
         elif ch.isdecimal():  # exactly the digits int() accepts
             while j < len(s) and s[j].isdecimal():
                 j += 1
-            toks.append(("int", int(s[i:j]), col0 + i))
+            try:
+                toks.append(("int", int(s[i:j]), col0 + i))
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                raise ParseError(f"integer of {j - i} digits is too long", lineno, col0 + i) from None
         elif ch.isalpha() or ch == "_":
             for nm in names_longest_first:
                 if s.startswith(nm, i):

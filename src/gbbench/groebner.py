@@ -1,11 +1,12 @@
 """Buchberger's algorithm over Z_p, generic over order and pair selection.
 
 The engine never looks inside monomial handles; the order strategy owns the
-representation. Pair bookkeeping follows the Gebauer-Moeller update, which
-realizes both classic pair-skipping criteria: classes of candidate pairs are
-dropped when their lcm is a proper multiple of another candidate lcm (chain
-criterion) or when some member has a coprime leading monomial (product
-criterion), and existing pairs made redundant by the new element are pruned.
+representation. Pair bookkeeping follows the Gebauer-Moeller update on leading
+exponents packed one int per monomial (LeadTable). It realizes both classic
+pair-skipping criteria: classes of candidate pairs are dropped when their lcm
+is a proper multiple of another candidate lcm (chain criterion) or when some
+member has a coprime leading monomial (product criterion), and existing pairs
+made redundant by the new element are pruned; only kept pairs reach the order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class CriticalPair(NamedTuple):
     i: int
     j: int
     lcm_exps: tuple
-    lcm_mask: int
+    lcm: int     # lcm_exps packed in the LeadTable's current layout
     key: object  # the strategy's pair_key, given when the pair is made (see STRATEGIES)
 
 
@@ -47,88 +48,82 @@ class GroebnerResult:
 
 
 class LeadTable:
-    """Leading monomials of the partial basis, by basis index, three ways.
+    """Leading monomials of the partial basis, by basis index.
 
-    exps holds each exponent tuple, masks its one-bit-per-variable mask
-    (poly.Reducers.mask) and cols[v] the exponents of variable v, so the
-    Gebauer-Moeller update builds every candidate lcm with one comprehension
-    per variable and tests coprimality and divisibility on masks before
-    touching exponents.
+    exps holds each exponent tuple; packed holds each as one int with a
+    field of width bits per variable (variable 0 first), guard bits set;
+    leads is the set of those. No exponent reaches a field's top bit, its
+    guard bit: b divides a iff (a | guard) - b keeps every guard bit, and
+    numeric order extends divisibility. Fields start 4 bits wide; a larger
+    exponent widens them first (see widen).
     """
 
-    __slots__ = ("exps", "masks", "cols")
+    __slots__ = ("n", "width", "guard", "exps", "packed", "leads")
 
     def __init__(self, n: int):
+        self.n = n
         self.exps: list = []
-        self.masks: list = []
-        self.cols: list = [[] for _ in range(n)]
+        self.widen(7, [])  # 4-bit fields: exponents up to 7
 
-    def append(self, e, mask: int) -> None:
-        self.exps.append(e)
-        self.masks.append(mask)
-        for col, x in zip(self.cols, e):
-            col.append(x)
+    def pack(self, e) -> int:
+        acc = 0
+        for x in e:
+            acc = (acc << self.width) | x
+        return acc
+
+    def widen(self, top: int, P) -> None:
+        """Fit exponents up to top: repack each lead, and the packed lcm of
+        each pair in P, from its exponent tuple."""
+        w = self.width = top.bit_length() + 1
+        self.guard = sum(1 << (w * v + w - 1) for v in range(self.n))
+        self.packed = [self.pack(e) | self.guard for e in self.exps]
+        self.leads = set(self.packed)
+        P[:] = [pr._replace(lcm=self.pack(pr.lcm_exps)) for pr in P]
 
 
-def _update(lead: LeadTable, P, eh, mh: int, stats, pair_key) -> None:
-    """Add the leading monomial eh, with mask mh, of a new basis element and
-    rework P.
+def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
+    """Add the leading monomial eh of a new basis element and rework P.
 
-    Candidate pairs (i, t) are grouped by lcm; only divisibility-minimal lcm
-    classes survive (iterating by ascending degree guarantees divisors are
-    seen first; two distinct lcms of one degree never divide each other), a
-    class with a coprime member dies entirely, and each surviving class
-    contributes its least-index representative. Existing pairs whose lcm is
-    strictly dominated through the new leading monomial are pruned. A mask
-    with a bit the other's mask lacks rules divisibility out before the
-    exponents are compared. P stays sorted ascending by key: pruning keeps
-    its order, and each new pair gets pair_key(lcm exps, i, t) and goes in
-    by binary search, about log2 |P| key comparisons.
+    Each candidate lcm L of a pair (i, t) is h plus the excess of lm_i over
+    h, field by field on packed monomials. A pair (i, j) in P is pruned when
+    h divides its lcm and neither lcm(lm_i, h) nor lcm(lm_j, h) equals it.
+    Of the lcm classes only divisibility-minimal ones survive: the least
+    lcm left is minimal, since divisors are numerically smaller, and cuts
+    its multiples. A minimal class has a member coprime to h, and dies,
+    iff L - h is a lead lm_k: then lcm(lm_k, h) divides L, so by minimality
+    it is L = lm_k + h. Each surviving class gives its least-index pair,
+    keyed by pair_key(lcm exps, i, t) and put into P (kept sorted by key)
+    by binary search, about log2 |P| key comparisons, in order of
+    (degree, i).
     """
+    if max(eh) >> (lead.width - 1):
+        lead.widen(max(eh), P)
+    w1, guard = lead.width - 1, lead.guard
+    h = lead.pack(eh)
     t = len(lead.exps)
-    exps = lead.exps
-    masks = lead.masks
-    skipped = 0
-
-    kept = []
-    for pr in P:
-        eL = pr.lcm_exps
-        if mh & ~pr.lcm_mask or not all(map(le, eh, eL)):
-            kept.append(pr)
-        elif tuple(map(max, exps[pr.i], eh)) == eL or tuple(map(max, exps[pr.j], eh)) == eL:
-            kept.append(pr)
-        else:
-            skipped += 1
-    P[:] = kept
-
-    cand: dict = {}
-    cols = [[x if x > c else c for x in col] for col, c in zip(lead.cols, eh)]
-    for i, e in enumerate(zip(*cols)):
-        idxs = cand.get(e)
-        if idxs is None:
-            cand[e] = [i]
-        else:
-            idxs.append(i)
-
-    minimal: list = []
-    for e in sorted(cand, key=sum):
-        idxs = cand[e]
-        i = idxs[0]
-        em = masks[i] | mh
-        for m, mm in minimal:
-            if not mm & ~em and all(map(le, m, e)):
-                skipped += len(idxs)
-                break
-        else:
-            minimal.append((e, em))
-            if any(not masks[k] & mh for k in idxs):
-                skipped += len(idxs)
-            else:
-                insort(P, CriticalPair(i, t, e, em, pair_key(e, i, t)), key=attrgetter("key"))
-                skipped += len(idxs) - 1
-
-    stats.pairs_skipped_by_criteria += skipped
-    lead.append(eh, mh)
+    # field v of (lm_i | guard) - h is 2**w1 + a_v - h_v: its guard bit is
+    # set iff a_v >= h_v, and then its low bits are the excess a_v - h_v
+    lcms = [h + (d & ((g := d & guard) - (g >> w1))) for d in [x - h for x in lead.packed]]
+    skipped = len(P) + t  # each pair or candidate that is not in P at the end
+    c = guard - h
+    P[:] = [pr for pr in P
+            if (pr.lcm + c) & guard != guard or lcms[pr.i] == pr.lcm or lcms[pr.j] == pr.lcm]
+    new = []
+    rest = sorted(set(lcms))
+    while rest:
+        L = rest[0]
+        c = guard - L
+        rest = [M for M in rest if (M + c) & guard != guard]
+        if (L - h) | guard not in lead.leads:
+            i = lcms.index(L)
+            e = tuple(map(max, lead.exps[i], eh))
+            new.append((sum(e), i, e, L))
+    for _, i, e, L in sorted(new):
+        insort(P, CriticalPair(i, t, e, L, pair_key(e, i, t)), key=attrgetter("key"))
+    stats.pairs_skipped_by_criteria += skipped - len(P)
+    lead.exps.append(eh)
+    lead.packed.append(h | guard)
+    lead.leads.add(h | guard)
 
 
 def _induced_order_keys(order) -> tuple:
@@ -214,14 +209,13 @@ def buchberger(F, *, strategy: str = INDUCED_ORDER,
     red_keys: list = []
 
     def add(g: Polynomial) -> None:
-        # the reducers mask lm(g) once, for their table and for _update
         h = g.leading_monomial()
         eg = order.exps(h)
         k = reducer_key(h, eg, len(G))
         at = bisect_right(red_keys, k)
         red_keys.insert(at, k)
         reducers.insert(at, g)
-        _update(lead, P, eg, reducers.entries[at][1], stats, pair_key)
+        _update(lead, P, eg, stats, pair_key)
         G.append(g)
 
     aborted = False

@@ -125,7 +125,10 @@ class WeightMatrix:
             pk, *tail = M[k]
             for i, mi in enumerate(M):
                 f = mi[0]
-                M[i] = [(x * pk - f * y) // prev for x, y in zip(islice(mi, 1, None), tail)] if i != k else tail
+                # f == 0 and pk == ±prev make each entry ±x (family matrices' pivots alternate ±1)
+                M[i] = (tail if i == k else mi[1:] if not f and pk == prev else
+                        [-x for x in islice(mi, 1, None)] if not f and pk == -prev else
+                        [(x * pk - f * y) // prev for x, y in zip(islice(mi, 1, None), tail)])
             prev = pk
         return D, prev, M
 

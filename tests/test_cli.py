@@ -147,9 +147,11 @@ def test_verify_usage_errors(tmp_path, capsys):
     latin = _non_utf8(tmp_path)
     superscript = tmp_path / "superscript.txt"
     superscript.write_text("vars: x\npoly: x²\n")
+    long_int = tmp_path / "long.txt"
+    long_int.write_text("vars: x\npoly: x + " + "1" * 5000 + "\n")
     for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--time-limit", "nan"],
                 ["--time-limit", "inf"], ["--system", latin], ["--system", str(superscript)],
-                ["--system", str(vanishing)]):
+                ["--system", str(long_int)], ["--system", str(vanishing)]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cyclic", "3"] + bad)
         assert exc.value.code == 2, bad
@@ -161,6 +163,9 @@ def test_verify_usage_errors(tmp_path, capsys):
         if bad[1] == str(superscript):
             assert err.splitlines()[-1] == (f"gbbench verify: error: {superscript}: "
                                             "line 2, column 8: unexpected character '²'"), err
+        if bad[1] == str(long_int):
+            assert err.splitlines()[-1] == (f"gbbench verify: error: {long_int}: line 2, "
+                                            "column 11: integer of 5000 digits is too long"), err
     assert "polynomial 1 vanishes mod 32003" in err
 
 

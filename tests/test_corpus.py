@@ -113,6 +113,11 @@ def test_parse_error_positions():
     # a superscript digit is a digit to str.isdigit() but not to int()
     ("vars: x\npoly: x²\n", 2, 8, "unexpected character '²'"),
     ("vars: x\npoly: x^²\n", 2, 9, "unexpected character '²'"),
+    # longer than int() converts (sys.get_int_max_str_digits(), 4300 by default)
+    pytest.param("vars: x\npoly: x + " + "1" * 5000 + "\n", 2, 11,
+                 "integer of 5000 digits is too long", id="coefficient-over-digit-limit"),
+    pytest.param("vars: x\npoly: x^" + "٣" * 4301 + "\n", 2, 9,
+                 "integer of 4301 digits is too long", id="exponent-over-digit-limit"),
 ])
 def test_parse_error_message_line_and_column(text, line, col, msg):
     with pytest.raises(ParseError) as err:

@@ -288,9 +288,14 @@ def _select_oracle(P, order, pair_key):
 
 # leading-monomial runs in 1 to 9 variables, mostly zero exponents so that
 # coprime members, chain-dominated classes and pruned pairs all occur; the
-# flag says whether a pair is picked (and removed) after the update
+# flag says whether a pair is picked (and removed) after the update. A
+# step's twist puts the run's next exponent from _JUMPS on one variable, so
+# the lead table widens mid-run (its fields start at 4 bits: 7 fits, 8 does
+# not, 255 fills 9 bits), repeats an earlier leading monomial, or makes it 1
+_JUMPS = (7, 8, 255, 2**20)
 _LEAD_RUNS = st.integers(1, 9).flatmap(lambda n: st.lists(
-    st.tuples(st.tuples(*[st.sampled_from((0, 0, 0, 1, 1, 2, 3))] * n), st.booleans()),
+    st.tuples(st.tuples(*[st.sampled_from((0, 0, 0, 1, 1, 2, 3))] * n), st.booleans(),
+              st.sampled_from((None,) * 5 + ("jump", "jump", "repeat", "one"))),
     min_size=1, max_size=14))
 
 
@@ -303,13 +308,22 @@ def test_update_matches_straightforward_oracle(run, cached, weighted):
     keys = STRATEGIES[WEIGHT_VECTOR if weighted else INDUCED_ORDER](order)[0]
     lead, P, got = LeadTable(n), [], EngineStats()
     lm_exps, Q, want = [], [], EngineStats()
-    for eh, pick in run:
+    jumps = iter(_JUMPS * len(run))
+    for eh, pick, twist in run:
         t = len(lm_exps)
+        if twist == "one":
+            eh = (0,) * n
+        elif twist == "repeat" and t:
+            eh = lm_exps[t // 2]
+        elif twist == "jump":
+            eh = eh[:t % n] + (next(jumps),) + eh[t % n + 1:]
         before = order.comparisons
-        _update(lead, P, eh, sum(1 << v for v, x in enumerate(eh) if x), got, keys)
+        _update(lead, P, eh, got, keys)
         made = order.comparisons - before
         _update_oracle(lm_exps, Q, eh, want, pair_key)
         assert sorted(pr[:3] for pr in P) == sorted(pr[:3] for pr in Q)
+        # the packed lcms follow the table's layout, also after it widened
+        assert [pr.lcm for pr in P] == [lead.pack(pr.lcm_exps) for pr in P]
         assert got.pairs_skipped_by_criteria == want.pairs_skipped_by_criteria
         if weighted:
             assert made == 0
@@ -321,6 +335,29 @@ def test_update_matches_straightforward_oracle(run, cached, weighted):
             a = P.pop(0)
             b = Q.pop(_select_oracle(Q, order, pair_key))
             assert a[:3] == b[:3]
+
+
+def test_leads_past_the_initial_field_width(monkeypatch):
+    # x^300 arrives with a pair queued, so the lead table widens mid-run and
+    # repacks that pair; later leads keep exponents near 300
+    spec = parse_system("vars: x y z\npoly: x*y - z^2\npoly: y^3 - x*z\npoly: x^300 - y*z\n")
+    widened = []
+    widen = LeadTable.widen
+    monkeypatch.setattr(LeadTable, "widen",
+                        lambda self, top, P: widened.append((top, len(P))) or widen(self, top, P))
+    field = PrimeField(32003)
+    seen = set()
+    for label in ORDER_LABELS:
+        for kind in STRATEGIES:
+            widened.clear()
+            F = realize(spec, order_factory(label)(3), field)
+            red = reduce_basis(buchberger(F, strategy=kind).basis)
+            assert widened == [(7, 0), (300, 1)], (label, kind)
+            assert verify_groebner(red, F), (label, kind)
+            seen.add(tuple(_canon(red)))
+    (red,) = seen
+    assert sorted(p[0][0] for p in red) == [(0, 0, 6), (0, 1, 4), (0, 2, 2), (0, 3, 0), (1, 1, 0),
+                                            (298, 0, 4), (299, 0, 2), (300, 0, 0)]
 
 
 # leading monomials in 1 to 4 variables with small exponents, so that equal
