@@ -363,6 +363,19 @@ def render_report(report: BenchmarkReport, fmt: str = "text") -> str:
 _MICROBENCH_BLOCK = 1000
 
 
+def _draw_exponents(rng, count: int, max_exponent: int) -> bytes:
+    """count exponents uniform on 0..max_exponent <= 255, one per byte: random
+    bytes below the largest multiple of r = max_exponent + 1 up to 256 taken
+    mod r, the rest deleted and the shortfall redrawn (rejection sampling)."""
+    r = max_exponent + 1
+    table = (bytes(range(r)) * (256 // r + 1))[:256]
+    drop = bytes(range(256 - 256 % r, 256))
+    out = b""
+    while len(out) < count:
+        out += rng.randbytes(count - len(out)).translate(table, drop)
+    return out
+
+
 def _time_calls(cmp, pairs) -> float:
     t0 = perf_counter()
     for a, b in pairs:
@@ -380,20 +393,20 @@ def comparator_microbench(n: int, samples: int = 1_000_000, seed: int = 0,
     alternating sub-blocks of _MICROBENCH_BLOCK pairs whose lead alternates
     too (degrevlex first, then subtotal first: ABBA), so a drift in host
     speed weighs on both alike. Each sub-block's pairs are drawn just before
-    it is timed, by one rng.choices call, so memory stays one block deep.
+    it is timed, one byte per exponent by _draw_exponents (so max_exponent is
+    at most 255), and memory stays one block deep.
     """
-    if n < 1 or samples < 1 or max_exponent < 0:
-        raise ValueError("need n >= 1, samples >= 1 and max_exponent >= 0")
+    if n < 1 or samples < 1 or not 0 <= max_exponent <= 255:
+        raise ValueError("need n >= 1, samples >= 1 and 0 <= max_exponent <= 255")
     deg = DegRevLexOrder(n).cmp
     sub = SubtotalOrder(n).cmp
     rng = random.Random(seed)
-    exponents = range(max_exponent + 1)
     t_deg = 0.0
     t_sub = 0.0
     deg_first = True
     for lo in range(0, samples, _MICROBENCH_BLOCK):
         k = min(_MICROBENCH_BLOCK, samples - lo)
-        monomials = list(zip(*[iter(rng.choices(exponents, k=2 * n * k))] * n))
+        monomials = list(zip(*[iter(_draw_exponents(rng, 2 * n * k, max_exponent))] * n))
         block = list(zip(monomials[::2], monomials[1::2]))
         if deg_first:
             t_deg += _time_calls(deg, block)

@@ -89,12 +89,12 @@ def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
     h divides its lcm and neither lcm(lm_i, h) nor lcm(lm_j, h) equals it.
     Of the lcm classes only divisibility-minimal ones survive: the least
     lcm left is minimal, since divisors are numerically smaller, and cuts
-    its multiples. A minimal class has a member coprime to h, and dies,
-    iff L - h is a lead lm_k: then lcm(lm_k, h) divides L, so by minimality
-    it is L = lm_k + h. Each surviving class gives its least-index pair,
-    keyed by pair_key(lcm exps, i, t) and put into P (kept sorted by key)
-    by binary search, about log2 |P| key comparisons, in order of
-    (degree, i).
+    its multiples, its own copies too. A minimal class has a member coprime
+    to h, and dies, iff L - h is a lead lm_k: then lcm(lm_k, h) divides L,
+    so by minimality it is L = lm_k + h. Each surviving class gives its
+    least-index pair, keyed by pair_key(lcm exps, i, t) and put into P (kept
+    sorted by key) by binary search, about log2 |P| key comparisons, in
+    order of (degree, i).
     """
     if max(eh) >> (lead.width - 1):
         lead.widen(max(eh), P)
@@ -103,15 +103,15 @@ def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
     t = len(lead.exps)
     # field v of (lm_i | guard) - h is 2**w1 + a_v - h_v: its guard bit is
     # set iff a_v >= h_v, and then its low bits are the excess a_v - h_v
-    lcms = [h + (d & ((g := d & guard) - (g >> w1))) for d in [x - h for x in lead.packed]]
+    lcms = [h + (((g := (d := x - h) & guard) - (g >> w1)) & d) for x in lead.packed]
     skipped = len(P) + t  # each pair or candidate that is not in P at the end
     c = guard - h
     P[:] = [pr for pr in P
             if (pr.lcm + c) & guard != guard or lcms[pr.i] == pr.lcm or lcms[pr.j] == pr.lcm]
     new = []
-    rest = sorted(set(lcms))
+    rest = lcms
     while rest:
-        L = rest[0]
+        L = min(rest)
         c = guard - L
         rest = [M for M in rest if (M + c) & guard != guard]
         if (L - h) | guard not in lead.leads:

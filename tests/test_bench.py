@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from gbbench.bench import (
     ORDER_LABELS,
     ORDERS,
     BenchmarkConfig,
+    _draw_exponents,
     comparator_microbench,
     format_degree_multiset,
     order_factory,
@@ -325,6 +327,21 @@ def test_comparator_microbench_shape():
         comparator_microbench(3, samples=0)
     with pytest.raises(ValueError):
         comparator_microbench(3, samples=10, max_exponent=-1)
+    with pytest.raises(ValueError):
+        comparator_microbench(3, samples=10, max_exponent=256)
+
+
+def test_draw_exponents_exact_and_uniform():
+    for top in (0, 1, 6, 30, 100, 254, 255):
+        out = _draw_exponents(random.Random(5), 4001, top)
+        assert len(out) == 4001 and max(out) <= top, top
+        assert out == _draw_exponents(random.Random(5), 4001, top), top
+    assert _draw_exponents(random.Random(5), 100, 0) == bytes(100)
+    # r = 256 divides 256, so no byte is dropped
+    assert _draw_exponents(random.Random(9), 777, 255) == random.Random(9).randbytes(777)
+    counts = Counter(_draw_exponents(random.Random(11), 310_000, 30))
+    assert sorted(counts) == list(range(31))
+    assert all(abs(c - 10_000) <= 500 for c in counts.values()), counts
 
 
 def test_comparator_microbench_self_comparison(monkeypatch):

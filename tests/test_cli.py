@@ -236,7 +236,8 @@ def test_microbench(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "ratio subtotal/degrevlex:" in out
-    for bad in (["--vars", "0"], ["--samples", "0"], ["--max-exponent", "-1"]):
+    for bad in (["--vars", "0"], ["--samples", "0"], ["--max-exponent", "-1"],
+                ["--max-exponent", "256"]):
         with pytest.raises(SystemExit) as exc:
             main(["microbench"] + bad)
         assert exc.value.code == 2, bad
