@@ -18,6 +18,7 @@ import random
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
+from itertools import groupby
 from time import perf_counter
 
 from .corpus import SystemSpec, permute_variables, realize
@@ -159,16 +160,10 @@ def summarize_ratios(values) -> RatioSummary:
 
 def format_degree_multiset(degs) -> str:
     """Compress a descending degree multiset: (5,5,5,2,2,2) -> '5^3*2^3'."""
-    degs = sorted(degs, reverse=True)
     parts = []
-    i = 0
-    while i < len(degs):
-        j = i
-        while j < len(degs) and degs[j] == degs[i]:
-            j += 1
-        k = j - i
-        parts.append(f"{degs[i]}^{k}" if k > 1 else f"{degs[i]}")
-        i = j
+    for d, run in groupby(sorted(degs, reverse=True)):
+        k = len(list(run))
+        parts.append(f"{d}^{k}" if k > 1 else f"{d}")
     return "*".join(parts)
 
 
@@ -179,7 +174,6 @@ def timed_run(spec: SystemSpec, order_label: str, config: BenchmarkConfig) -> Ru
     factory = order_factory(order_label)
     total = 0.0
     m = 0
-    stats = None
     while True:
         order = factory(spec.nvars)
         t0 = perf_counter()
@@ -190,9 +184,8 @@ def timed_run(spec: SystemSpec, order_label: str, config: BenchmarkConfig) -> Ru
         if res.aborted:
             return RunCell(seconds=None, m=m, aborted=True, stats=res.stats)
         total += elapsed
-        stats = res.stats
         if total >= config.min_measure_seconds:
-            return RunCell(seconds=total / m, m=m, aborted=False, stats=stats)
+            return RunCell(seconds=total / m, m=m, aborted=False, stats=res.stats)
 
 
 def _reordered(spec: SystemSpec, config: BenchmarkConfig) -> SystemSpec:
@@ -483,40 +476,29 @@ def verify_order_robustness(spec: SystemSpec, *, modulus: int = DEFAULT_MODULUS,
     failure names the first failing S-pair or input (see verify_failure).
     """
     field_ = PrimeField(modulus)
-    completed = []
-    aborted = []
-    reference = None
-    bases_match: bool | None = None
-    audits_clean: bool | None = None
-    verified: bool | None = None
-    failure = None
-    basis_size = None
-    saved = None
+    res = RobustnessResult(spec.name, [], [], None, None, None, None)
+    first = None  # the first completed run's (inputs, reduced basis, basis tuples)
     for label in ORDER_LABELS:
         for kind in strategies:
             order = order_factory(label)(spec.nvars)
             polys = realize(spec, order, field_)
-            res = buchberger(polys, strategy=kind, max_seconds=max_seconds)
-            if res.aborted:
-                aborted.append((label, kind))
-                return RobustnessResult(spec.name, completed, aborted, bases_match,
-                                        verified, audits_clean, basis_size)
-            completed.append((label, kind))
-            red = reduce_basis(res.basis)
+            gb = buchberger(polys, strategy=kind, max_seconds=max_seconds)
+            if gb.aborted:
+                res.aborted.append((label, kind))
+                return res
+            res.completed.append((label, kind))
+            red = reduce_basis(gb.basis)
             tuples = [g.as_tuples() for g in red]
             if isinstance(order, MatrixCachedOrder):
-                clean = not audit_cached_weights(res.basis) and not audit_cached_weights(red)
-                audits_clean = clean if audits_clean is None else (audits_clean and clean)
-            if reference is None:
-                reference = tuples
-                basis_size = len(tuples)
-                bases_match = True
-                saved = (polys, red)
-            elif tuples != reference:
-                bases_match = False
-    if saved is not None:
-        polys, red = saved
-        failure = verify_failure(red, polys)
-        verified = failure is None
-    return RobustnessResult(spec.name, completed, aborted, bases_match, verified,
-                            audits_clean, basis_size, failure)
+                clean = not audit_cached_weights(gb.basis) and not audit_cached_weights(red)
+                res.audits_clean = clean and res.audits_clean is not False
+            if first is None:
+                first = (polys, red, tuples)
+                res.bases_match = True
+                res.basis_size = len(tuples)
+            elif tuples != first[2]:
+                res.bases_match = False
+    if first is not None:
+        res.failure = verify_failure(first[1], first[0])
+        res.verified = res.failure is None
+    return res

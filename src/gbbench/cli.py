@@ -104,7 +104,7 @@ def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
         for spec in specs:
             corpus.realize(spec, DegRevLexOrder(spec.nvars), field)
     except (KeyError, ValueError) as e:
-        parser.error(str(e).strip("'\""))
+        parser.error(e.args[0])
     return specs
 
 
@@ -112,7 +112,7 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def cmd_run(args, parser) -> int:

@@ -4,7 +4,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +29,14 @@ from gbbench.bench import (
     verify_order_robustness,
 )
 from gbbench.corpus import SystemSpec, cyclic_system, katsura_system, realize
-from gbbench.groebner import INDUCED_ORDER, WEIGHT_VECTOR, buchberger, reduce_basis, verify_groebner
+from gbbench.groebner import (
+    INDUCED_ORDER,
+    STRATEGIES,
+    WEIGHT_VECTOR,
+    buchberger,
+    reduce_basis,
+    verify_groebner,
+)
 from gbbench.modfield import PrimeField
 from gbbench.ordering import (
     DegRevLexOrder,
@@ -400,6 +407,31 @@ def test_verify_order_robustness_stop_on_abort():
     assert len(res.aborted) == 1
     assert res.bases_match is None
     assert res.verified is None
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_verify_order_robustness_abort_after_some_completed(monkeypatch, k):
+    # the k-th configuration aborts and the first k - 1 are kept; calls 5 and 6
+    # run grevlex-matrix, the first cached-weight order, so only k = 6 audits
+    import gbbench.bench as bench_mod
+    calls = []
+
+    def abort_kth(polys, **kwargs):
+        calls.append(kwargs)
+        res = buchberger(polys, **kwargs)
+        return replace(res, basis=None, aborted=True) if len(calls) == k else res
+
+    monkeypatch.setattr(bench_mod, "buchberger", abort_kth)
+    res = verify_order_robustness(cyclic_system(3), max_seconds=30.0)
+    configs = [(label, kind) for label in ORDER_LABELS for kind in STRATEGIES]
+    assert len(calls) == k
+    assert res.completed == configs[:k - 1]
+    assert res.aborted == [configs[k - 1]]
+    assert res.bases_match is True
+    assert res.basis_size == 3
+    assert res.verified is None and res.failure is None
+    assert res.audits_clean is (None if k == 5 else True)
+    assert not res.ok
 
 
 @st.composite

@@ -1,9 +1,12 @@
 import csv
 import importlib
 import json
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -48,6 +51,21 @@ def test_run_csv_to_file(tmp_path, capsys):
     assert {r["name"] for r in rows} == {"cyclic-3", "katsura-3"}
     for r in rows:
         assert r["degrevlex aborted"] == "0"
+
+
+def test_run_output_file_is_utf8_whatever_the_locale(tmp_path):
+    # the reader requires UTF-8, so -o writes UTF-8 under an ASCII locale too
+    system = tmp_path / "f.txt"
+    system.write_text("name: Gröbner-ł\nvars: x y\npoly: x^2 + y\npoly: x*y - 1\n",
+                      encoding="utf-8")
+    dest = tmp_path / "out.txt"
+    src = str(Path(gbbench.__file__).parents[1])
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "gbbench.cli", "run", "--system", str(system),
+                           "-o", str(dest)] + FAST, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Gröbner-ł" in dest.read_text(encoding="utf-8")
 
 
 def test_run_jsonl_format(capsys):
@@ -128,7 +146,8 @@ def test_run_usage_errors(tmp_path, capsys):
     for bad in (["--modulus", "4"], ["--modulus", str(2**89)], ["--time-limit", "0"],
                 ["--time-limit", "nan"], ["--time-limit", "inf"], ["--min-measure", "nan"],
                 ["--min-measure", "inf"], ["--seed", "1"], ["--system", str(vanishing)],
-                ["--system", latin], ["-o", str(tmp_path)], ["-o", missing]):
+                ["--system", latin], ["-o", str(tmp_path)], ["-o", missing],
+                ["--bundled", 'a"b'], ["--bundled", "x'"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["run", "--cyclic", "3"] + FAST + bad)
@@ -138,6 +157,9 @@ def test_run_usage_errors(tmp_path, capsys):
         if bad[1] in named:
             assert err.splitlines()[-1].startswith(
                 f"gbbench run: error: cannot {named[bad[1]]} {bad[1]}: "), err
+        if bad[0] == "--bundled":
+            assert err.splitlines()[-1].startswith(
+                f"gbbench run: error: unknown bundled system {bad[1]!r}; available: "), err
     assert not Path(missing).parent.exists()
 
 
@@ -150,7 +172,8 @@ def test_verify_usage_errors(tmp_path, capsys):
     long_int = tmp_path / "long.txt"
     long_int.write_text("vars: x\npoly: x + " + "1" * 5000 + "\n")
     for bad in (["--modulus", "4"], ["--time-limit", "-1"], ["--time-limit", "nan"],
-                ["--time-limit", "inf"], ["--system", latin], ["--system", str(superscript)],
+                ["--time-limit", "inf"], ["--bundled", 'a"b'], ["--bundled", "x'"],
+                ["--system", latin], ["--system", str(superscript)],
                 ["--system", str(long_int)], ["--system", str(vanishing)]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cyclic", "3"] + bad)
@@ -166,6 +189,9 @@ def test_verify_usage_errors(tmp_path, capsys):
         if bad[1] == str(long_int):
             assert err.splitlines()[-1] == (f"gbbench verify: error: {long_int}: line 2, "
                                             "column 11: integer of 5000 digits is too long"), err
+        if bad[0] == "--bundled":
+            assert err.splitlines()[-1].startswith(
+                f"gbbench verify: error: unknown bundled system {bad[1]!r}; available: "), err
     assert "polynomial 1 vanishes mod 32003" in err
 
 
