@@ -108,13 +108,6 @@ def _collect_systems(args, parser: argparse.ArgumentParser) -> list:
     return specs
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def cmd_run(args, parser) -> int:
     specs = _collect_systems(args, parser)
     try:
@@ -135,7 +128,14 @@ def cmd_run(args, parser) -> int:
         except OSError as e:
             parser.error(f"cannot write {args.output}: {e}")
     report = run_benchmark(specs, config)
-    _write_output(render_report(report, args.format), args.output)
+    text = render_report(report, args.format)
+    if args.output in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as e:
+            parser.error(f"cannot write {args.output}: {e}")
     all_aborted = all(cell.aborted for row in report.rows for cell in row.cells.values())
     return EXIT_ALL_ABORTED if all_aborted else EXIT_OK
 
@@ -294,6 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # system names and reports are UTF-8 whatever the locale; the stream keeps
+    # its error handler, so an undecodable path from argv is echoed as given
+    sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     # every input error, unknown options included, prints the subcommand's
     # usage line, not the top-level one
     args, unknown = build_parser().parse_known_args(argv)

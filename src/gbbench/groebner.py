@@ -35,16 +35,18 @@ class EngineStats:
 class CriticalPair(NamedTuple):
     i: int
     j: int
-    lcm_exps: tuple
-    lcm: int     # lcm_exps packed in the LeadTable's current layout
+    lcm: int     # lcm of leads i and j, packed in the LeadTable's current layout
     key: object  # the strategy's pair_key, given when the pair is made (see STRATEGIES)
 
 
 @dataclass
 class GroebnerResult:
-    basis: list | None
+    basis: list | None  # None when the run hit its deadline
     stats: EngineStats
-    aborted: bool = False
+
+    @property
+    def aborted(self) -> bool:
+        return self.basis is None
 
 
 class LeadTable:
@@ -72,13 +74,14 @@ class LeadTable:
         return acc
 
     def widen(self, top: int, P) -> None:
-        """Fit exponents up to top: repack each lead, and the packed lcm of
-        each pair in P, from its exponent tuple."""
+        """Fit exponents up to top: repack each lead, and the lcm of each
+        pair in P, from the leads' exponent tuples."""
         w = self.width = top.bit_length() + 1
         self.guard = sum(1 << (w * v + w - 1) for v in range(self.n))
         self.packed = [self.pack(e) | self.guard for e in self.exps]
         self.leads = set(self.packed)
-        P[:] = [pr._replace(lcm=self.pack(pr.lcm_exps)) for pr in P]
+        exps = self.exps
+        P[:] = [pr._replace(lcm=self.pack(map(max, exps[pr.i], exps[pr.j]))) for pr in P]
 
 
 def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
@@ -119,7 +122,7 @@ def _update(lead: LeadTable, P, eh, stats, pair_key) -> None:
             e = tuple(map(max, lead.exps[i], eh))
             new.append((sum(e), i, e, L))
     for _, i, e, L in sorted(new):
-        insort(P, CriticalPair(i, t, e, L, pair_key(e, i, t)), key=attrgetter("key"))
+        insort(P, CriticalPair(i, t, L, pair_key(e, i, t)), key=attrgetter("key"))
     stats.pairs_skipped_by_criteria += skipped - len(P)
     lead.exps.append(eh)
     lead.packed.append(h | guard)
@@ -170,8 +173,8 @@ def buchberger(F, *, strategy: str = INDUCED_ORDER,
     preference, and an entry goes in by binary search; under the run's own
     order every probe is one call of the order's cmp.
 
-    Returns GroebnerResult(basis, stats, aborted). When the deadline passes,
-    the result has aborted=True and basis=None, with the stats gathered so far;
+    Returns GroebnerResult(basis, stats). When the deadline passes, the
+    result has basis=None (so aborted is True), with the stats gathered so far;
     the deadline is also probed inside long reductions so the overshoot stays
     bounded. The basis is not auto-reduced; see reduce_basis.
 
@@ -218,7 +221,6 @@ def buchberger(F, *, strategy: str = INDUCED_ORDER,
         _update(lead, P, eg, stats, pair_key)
         G.append(g)
 
-    aborted = False
     basis = None
     try:
         for f in F:
@@ -234,12 +236,12 @@ def buchberger(F, *, strategy: str = INDUCED_ORDER,
                 add(r.monic())
         basis = list(G)
     except TimeLimitExceeded:
-        aborted = True
+        pass  # basis stays None
 
     stats.comparisons = order.comparisons
     stats.matvec_products = order.matvec_products
     stats.wall_time = perf_counter() - start
-    return GroebnerResult(basis=basis, stats=stats, aborted=aborted)
+    return GroebnerResult(basis=basis, stats=stats)
 
 
 def reduce_basis(G) -> list:
@@ -256,28 +258,27 @@ def reduce_basis(G) -> list:
     # one table for every element: each term below lm(g) is smaller than
     # lm(g), so none is divisible by it and g never fires on its own tail
     table = Reducers(ctx)
+    # (mask, exps, g) of each element with a minimal leading monomial; a mask
+    # with a bit that e's mask lacks rules divisibility out before the
+    # exponents are compared
     minimal: list = []
-    # (mask, exps) of each minimal leading monomial; a mask with a bit that e's
-    # mask lacks rules divisibility out before the exponents are compared
-    leads: list = []
     for g in G_sorted:
         h = g.leading_monomial()
         e = order.exps(h)
         m = table.mask(h)
-        if not any(not mk & ~m and all(map(le, ek, e)) for mk, ek in leads):
+        if not any(not mk & ~m and all(map(le, ek, e)) for mk, ek, _ in minimal):
             table.insert(len(minimal), g)
-            minimal.append(g)
-            leads.append((m, e))
+            minimal.append((m, e, g))
     out = []
-    for g in minimal:
+    for _, _, g in minimal:
         tail = reduce(Polynomial(ctx, g.terms[1:]), table)
         # tail reduction keeps lm(g), so out keeps G_sorted's ascending order
         out.append(Polynomial(ctx, g.terms[:1] + tail.terms).monic())
     return out
 
 
-def _packed_layout(order, G, F):
-    """Bit layout for the integer-packed verifier.
+def _packed_basis(G, F):
+    """G prepared for the integer-packed verifier under its context order.
 
     A monomial packs into one integer with one field per variable, and its
     key into one with one field per row of order.matrix, most significant
@@ -285,30 +286,32 @@ def _packed_layout(order, G, F):
     and degree-first (first row all ones): then every monomial met during
     top-reduction has degree at most that of the seed, which bounds every
     field; any other order raises ValueError. Returns
-    (pack_key, pack_exps, pack_lcm, mtop, ones):
+    (prepped, pack_key, pack_exps, pack_lcm, mtop, ones):
 
+    - prepped holds each g as (support mask of lm(g), (packed exps of lm(g),
+      monic tail)); a tail term is (key offset, exponent offset, coefficient
+      over lc(g)) from lm(g), scaled by field.inv, not Polynomial.monic, so
+      the verifier shares no arithmetic with the engine.
     - pack_key(e) = mtop + sum(e_i * K_i), K_i the packed column i. It is
       linear in the exponents, so key(a * b) = key(a) + key(b) - mtop, and
       numeric order of keys is the lexicographic order of weight vectors.
     - pack_exps(e) packs the exponents themselves.
     - mtop holds each field's guard bit, the bias 2**(width - 1). For packed
       exponents a and b, (a - b + mtop) & mtop keeps the guard bit of every
-      field where b's exponent is at most a's, so b divides a iff it equals
-      mtop.
+      field where b's exponent is at most a's: b divides a iff it is mtop.
     - pack_lcm(a, b) takes each field from a or b by that guard-bit test.
     - ones holds bias - 1 in every field, so (a + ones) & mtop keeps the
       guard bit of every field where a's exponent is nonzero: the support
       mask of a, in two integer operations.
     """
+    order = G[0].context.order
     rows = order.matrix.rows
     if any(not isinstance(v, int) for row in rows for v in row) or any(v != 1 for v in rows[0]):
         raise ValueError(f"verify_groebner needs a degree-first order with integer weights; "
                          f"{order.label} is not one")
     n = order.n
-    maxdeg = 1
-    for poly in G + F:
-        for e, _ in poly.as_tuples():
-            maxdeg = max(maxdeg, sum(e))
+    # the order is degree-first, so a leading term has its polynomial's top degree
+    maxdeg = max(1, *(sum(order.exps(f.leading_monomial())) for f in G + F if not f.is_zero))
     # pending monomials never exceed twice the largest input degree (S-pair
     # lcms), and each key component is a weight row against such a monomial
     bound = 2 * maxdeg * max(abs(v) for row in rows for v in row) + 1
@@ -334,15 +337,6 @@ def _packed_layout(order, G, F):
         fm = (((b - a + mtop) & mtop) >> (width - 1)) * (bias - 1)
         return (b & fm) | (a & ~fm)
 
-    return pack_key, pack_exps, pack_lcm, mtop, ones
-
-
-def _packed_basis(G, pack_key, pack_exps, mtop, ones):
-    """Each element as (support mask of its leading monomial, (packed leading
-    exponents, monic tail)); a tail term is (key offset, exponent offset,
-    coefficient divided by the leading coefficient) from the leading
-    monomial. Each tail is scaled here, once per element, by field.inv and not
-    by Polynomial.monic, so the verifier shares no arithmetic with the engine."""
     field = G[0].context.field
     p = field.p
     prepped = []
@@ -355,7 +349,7 @@ def _packed_basis(G, pack_key, pack_exps, mtop, ones):
         tail = [(pack_key(e) - lm_k, pack_exps(e) - lm_ep, c * inv % p)
                 for e, c in terms[1:]]
         prepped.append(((lm_ep + ones) & mtop, (lm_ep, tail)))
-    return prepped
+    return prepped, pack_key, pack_exps, pack_lcm, mtop, ones
 
 
 def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
@@ -376,7 +370,7 @@ def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
     elements whose mask has no guard bit the term's lacks, in prepped order,
     listed the first time a mask is met. The first divisor found is the one
     a probe over all of prepped would find. Each candidate gets the exact
-    guard-bit test (see _packed_layout). The divisor's tail is monic, so
+    guard-bit test (see _packed_basis). The divisor's tail is monic, so
     the head c cancels by adding (p - c) times the tail's shifted terms.
     """
     acc: dict = {}
@@ -443,17 +437,14 @@ def verify_failure(G, F=None, *, max_seconds: float | None = None) -> tuple | No
             raise ValueError("polynomials from different contexts")
     p = ctx.field.p
     deadline = perf_counter() + max_seconds if max_seconds is not None else None
-    pack_key, pack_exps, pack_lcm, mtop, ones = _packed_layout(ctx.order, G, F)
-    prepped = _packed_basis(G, pack_key, pack_exps, mtop, ones)
+    prepped, pack_key, pack_exps, pack_lcm, mtop, ones = _packed_basis(G, F)
     cands: dict = {}
     lms = [r[0] for _, r in prepped]
     # S(g_i, g_j) = (L / lm_i) * tail_i - (L / lm_j) * tail_j with the
     # leading terms cancelled and the tails monic; each side negated once
     ups = [tail for _, (_, tail) in prepped]
     downs = [[(dk, de, p - c) for dk, de, c in up] for up in ups]
-    for i in range(len(G)):
-        lm_i = lms[i]
-        up_i = ups[i]
+    for i, (lm_i, up_i) in enumerate(zip(lms, ups)):
         for j in range(i + 1, len(G)):
             if deadline is not None and perf_counter() > deadline:
                 raise TimeLimitExceeded

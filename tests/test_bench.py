@@ -419,7 +419,7 @@ def test_verify_order_robustness_abort_after_some_completed(monkeypatch, k):
     def abort_kth(polys, **kwargs):
         calls.append(kwargs)
         res = buchberger(polys, **kwargs)
-        return replace(res, basis=None, aborted=True) if len(calls) == k else res
+        return replace(res, basis=None) if len(calls) == k else res
 
     monkeypatch.setattr(bench_mod, "buchberger", abort_kth)
     res = verify_order_robustness(cyclic_system(3), max_seconds=30.0)
@@ -431,6 +431,26 @@ def test_verify_order_robustness_abort_after_some_completed(monkeypatch, k):
     assert res.basis_size == 3
     assert res.verified is None and res.failure is None
     assert res.audits_clean is (None if k == 5 else True)
+    assert not res.ok
+
+
+def test_verify_order_robustness_sees_a_basis_that_differs(monkeypatch):
+    # the third configuration's reduced basis loses its last element; the
+    # first run's basis still verifies, so only the cross-check fails
+    import gbbench.bench as bench_mod
+    calls = []
+
+    def short_third(G):
+        calls.append(G)
+        red = reduce_basis(G)
+        return red[:-1] if len(calls) == 3 else red
+
+    monkeypatch.setattr(bench_mod, "reduce_basis", short_third)
+    res = verify_order_robustness(cyclic_system(3), max_seconds=30.0)
+    assert len(res.completed) == len(calls) == len(ORDER_LABELS) * len(STRATEGIES)
+    assert res.bases_match is False
+    assert res.basis_size == 3
+    assert res.verified is True and res.audits_clean is True
     assert not res.ok
 
 

@@ -53,19 +53,57 @@ def test_run_csv_to_file(tmp_path, capsys):
         assert r["degrevlex aborted"] == "0"
 
 
-def test_run_output_file_is_utf8_whatever_the_locale(tmp_path):
-    # the reader requires UTF-8, so -o writes UTF-8 under an ASCII locale too
-    system = tmp_path / "f.txt"
-    system.write_text("name: Gröbner-ł\nvars: x y\npoly: x^2 + y\npoly: x*y - 1\n",
-                      encoding="utf-8")
-    dest = tmp_path / "out.txt"
+def _under_ascii_locale(argv, cwd):
+    """Run gbbench in a subprocess under an ASCII locale; output as bytes."""
     src = str(Path(gbbench.__file__).parents[1])
     env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "gbbench.cli", "run", "--system", str(system),
-                           "-o", str(dest)] + FAST, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "gbbench.cli", *argv],
+                          env=env, capture_output=True, cwd=cwd)
+
+
+def _non_ascii_system(tmp_path):
+    system = tmp_path / "f.txt"
+    system.write_text("name: Gröbner-ł\nvars: x y\npoly: x^2 + y\npoly: x*y - 1\n",
+                      encoding="utf-8")
+    return str(system)
+
+
+def test_run_output_file_is_utf8_whatever_the_locale(tmp_path):
+    # the reader requires UTF-8, so -o writes UTF-8 under an ASCII locale too
+    dest = tmp_path / "out.txt"
+    proc = _under_ascii_locale(["run", "--system", _non_ascii_system(tmp_path),
+                                "-o", str(dest)] + FAST, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "Gröbner-ł" in dest.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [["run"] + FAST, ["verify", "--strategies", "induced-order"]],
+                         ids=["run", "verify"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, argv):
+    proc = _under_ascii_locale(argv + ["--system", _non_ascii_system(tmp_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Gröbner-ł" in proc.stdout.decode("utf-8")
+
+
+def test_non_ascii_path_is_echoed_as_given(tmp_path):
+    # argv decodes with surrogateescape under an ASCII locale; stdout keeps
+    # that handler, so the path's own bytes come back
+    (tmp_path / "mł.txt").write_text(subtotal_weight_matrix(2).to_text())
+    proc = _under_ascii_locale(["check-matrix", "mł.txt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("mł.txt: 2x2, admissible=yes\n".encode("utf-8"))
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_run_output_write_failure_is_one_line(capsys):
+    # /dev/full opens, so the early check passes; the final write fails
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--cyclic", "3", "-o", "/dev/full"] + FAST)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("gbbench run: error: cannot write /dev/full: ")
 
 
 def test_run_jsonl_format(capsys):
@@ -236,10 +274,35 @@ def test_verify_reports_differing_bases_and_dirty_audit(monkeypatch, capsys):
                                        "verified=yes  weight-audit=DIRTY\n")
 
 
+def test_verify_reports_bases_that_differ(monkeypatch, capsys):
+    # one configuration's reduced basis is short one element
+    calls, reduce_basis = [], bench.reduce_basis
+
+    def short_third(G):
+        calls.append(G)
+        red = reduce_basis(G)
+        return red[:-1] if len(calls) == 3 else red
+
+    monkeypatch.setattr(bench, "reduce_basis", short_third)
+    code = main(["verify", "--cyclic", "3"])
+    assert code == 1
+    assert capsys.readouterr().out == ("cyclic-3: FAILED  configs=12  basis=3  bases=DIFFER  "
+                                       "verified=yes  weight-audit=clean\n")
+
+
 def test_verify_aborted_exit_code(capsys):
     code = main(["verify", "--cyclic", "6", "--time-limit", "1e-6"])
     assert code == 3
     assert "ABORTED" in capsys.readouterr().out
+
+
+def test_verify_bundled_all_aborted(capsys):
+    code = main(["verify", "--bundled", "all", "--time-limit", "1e-9"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert [line.split(":")[0] for line in lines] == [s.name for s in corpus.bundled_systems()]
+    assert all(": ABORTED at degrevlex/induced-order after 0 completed configs" in line
+               for line in lines)
 
 
 def test_verify_time_limit_is_per_configuration(tmp_path, capsys):
@@ -318,6 +381,18 @@ def test_check_matrix_inequivalence(tmp_path, capsys):
     assert code == 1
     assert "no certificate" in out
     assert "oracle: orders differ on (0, 0, 2) vs (0, 1, 0)" in out.splitlines()
+
+
+def test_check_matrix_against_a_singular_matrix(tmp_path, capsys):
+    # a singular matrix has no certificate; that is a failed check, not an error
+    m = _write_matrix(tmp_path, "m.txt", subtotal_weight_matrix(2))
+    singular = tmp_path / "singular.txt"
+    singular.write_text("2\n1 1\n1 1\n")
+    code = main(["check-matrix", m, "--against", str(singular)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert f"equivalent to {singular}: no certificate" in out.splitlines()
+    assert err == ""
 
 
 def test_check_matrix_input_errors(tmp_path, capsys):

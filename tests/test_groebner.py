@@ -17,7 +17,7 @@ from gbbench.groebner import (
     WEIGHT_VECTOR,
     EngineStats,
     LeadTable,
-    _packed_layout,
+    _packed_basis,
     _update,
     audit_cached_weights,
     buchberger,
@@ -299,6 +299,10 @@ _LEAD_RUNS = st.integers(1, 9).flatmap(lambda n: st.lists(
     min_size=1, max_size=14))
 
 
+def _pair_exps(lead, pr):
+    return pr.i, pr.j, tuple(map(max, lead.exps[pr.i], lead.exps[pr.j]))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_LEAD_RUNS, st.booleans(), st.booleans())
 def test_update_matches_straightforward_oracle(run, cached, weighted):
@@ -321,9 +325,10 @@ def test_update_matches_straightforward_oracle(run, cached, weighted):
         _update(lead, P, eh, got, keys)
         made = order.comparisons - before
         _update_oracle(lm_exps, Q, eh, want, pair_key)
-        assert sorted(pr[:3] for pr in P) == sorted(pr[:3] for pr in Q)
+        # a queued pair's lcm exponents are the max of its two leads'
+        assert sorted(_pair_exps(lead, pr) for pr in P) == sorted(pr[:3] for pr in Q)
         # the packed lcms follow the table's layout, also after it widened
-        assert [pr.lcm for pr in P] == [lead.pack(pr.lcm_exps) for pr in P]
+        assert [pr.lcm for pr in P] == [lead.pack(_pair_exps(lead, pr)[2]) for pr in P]
         assert got.pairs_skipped_by_criteria == want.pairs_skipped_by_criteria
         if weighted:
             assert made == 0
@@ -334,7 +339,7 @@ def test_update_matches_straightforward_oracle(run, cached, weighted):
         if pick and P:
             a = P.pop(0)
             b = Q.pop(_select_oracle(Q, order, pair_key))
-            assert a[:3] == b[:3]
+            assert _pair_exps(lead, a) == b[:3]
 
 
 def test_leads_past_the_initial_field_width(monkeypatch):
@@ -600,7 +605,7 @@ def test_packed_lcm_and_support_mask(n, deg, data):
     # exponents up to the field bound: one below the guard bit
     ctx = _ctx(n)
     f = ctx.polynomial([((deg,) + (0,) * (n - 1), 1)])
-    pack_key, pack_exps, pack_lcm, mtop, ones = _packed_layout(ctx.order, [f], [])
+    _, pack_key, pack_exps, pack_lcm, mtop, ones = _packed_basis([f], [])
     bias = mtop & -mtop
     exps = st.tuples(*[st.one_of(st.just(0), st.integers(0, bias - 1),
                                  st.just(bias - 1))] * n)

@@ -71,3 +71,41 @@ def test_the_check_sees_an_unused_private_helper():
                 "    def __repr__(self):\n        return ''\n",
     }
     assert _unreferenced_private(sources) == [("a.py", 5, "_unused"), ("b.py", 5, "_m")]
+
+
+# the verifier must reach the engine through none of its code: neither a name
+# it defines nor an attribute of the orders, polynomials or reducer tables
+# that the engine's arithmetic runs on
+VERIFIER = ("_packed_basis", "_sinks_packed", "verify_failure", "verify_groebner")
+ENGINE_NAMES = {"reduce", "Reducers", "s_polynomial", "LeadTable", "_update", "buchberger",
+                "reduce_basis", "STRATEGIES", "_merge"}
+ENGINE_ATTRS = {"monic", "cmp", "attach", "mul", "div", "lcm", "entries"}
+
+
+def _engine_uses(source: str) -> list:
+    """(function, line, name) for each engine name or attribute that a
+    verifier function in source reads, nested functions included; raises
+    if one of the verifier functions is missing."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name in VERIFIER}
+    assert sorted(functions) == sorted(VERIFIER)
+    out = []
+    for name, fn in functions.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in ENGINE_NAMES:
+                out.append((name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in ENGINE_ATTRS:
+                out.append((name, node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_the_verifier_shares_no_code_with_the_engine():
+    assert _engine_uses((PACKAGE / "groebner.py").read_text()) == []
+
+
+def test_the_check_sees_engine_code_in_the_verifier():
+    stubs = "".join(f"def {name}():\n    pass\n" for name in VERIFIER[1:])
+    source = ("def _packed_basis(G, order):\n    r = reduce(G[0], G)\n"
+              "    return order.cmp(r, r)\n\n\ndef elsewhere(order):\n    return order.cmp\n"
+              + stubs)
+    assert _engine_uses(source) == [("_packed_basis", 2, "reduce"), ("_packed_basis", 3, "cmp")]
