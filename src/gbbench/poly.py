@@ -217,16 +217,29 @@ class Reducers:
     step; Faugere, JPAA 1999). A multiple is kept from its second use on:
     its first use only records q as _USED_ONCE, because most multiples of a
     sparse system are used once and keeping them would cost time and
-    memory for nothing. The table lives as long as its owner: one buchberger
-    or reduce_basis call, or one reduce call on an iterable.
+    memory for nothing.
+
+    The divisor memo maps each head reduce has searched to (stamp, entry,
+    q): the first entry in probe order whose lead divides the head, with
+    the quotient, or (stamp, None, None) for a head no lead divides. The
+    stamp is the length of `inserted`, the entries in insertion order, when
+    the answer was last checked. An insert never reorders the entries
+    already in the table, so it can change an answer only by putting a new
+    lead that divides the head in front of the old divisor: an answer stays
+    right as long as no lead inserted after its stamp divides the head, and
+    reduce tests only those before it uses the answer. The table lives as
+    long as its owner: one buchberger or reduce_basis call, or one reduce
+    call on an iterable.
     """
 
-    __slots__ = ("context", "bits", "entries")
+    __slots__ = ("context", "bits", "entries", "inserted", "memo")
 
     def __init__(self, context: PolyContext, G=()):
         self.context = context
         self.bits = tuple(1 << i for i in range(context.nvars))
         self.entries: list = []
+        self.inserted: list = []
+        self.memo: dict = {}
         for g in G:
             self.insert(len(self.entries), g)
 
@@ -241,7 +254,9 @@ class Reducers:
         if g.is_zero:
             raise ValueError("zero polynomial among the reducers")
         h = g.terms[0][0]
-        self.entries.insert(at, (h, self.mask(h), g.monic().terms, {}))
+        entry = (h, self.mask(h), g.monic().terms, {})
+        self.entries.insert(at, entry)
+        self.inserted.append(entry)
 
 
 def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Polynomial:
@@ -257,6 +272,14 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     multiples change no result, step or comparison: a product is looked up
     and, if new to the remainder, inserted by cmp exactly as a freshly built
     one.
+    The divisor of a head comes from the table's memo when the head was
+    searched before and no lead inserted since divides it (a mask test and,
+    if that passes, one div per such lead); otherwise the entries are probed
+    in order and the answer is remembered. The memo holds the first divisor
+    in probe order, not just any divisor, so it answers exactly what the
+    probe loop would: the caller's reducer preference holds, and the picks,
+    steps and comparisons do not depend on which heads earlier calls met.
+    No cmp goes through the memo.
     Raises TimeLimitExceeded when a deadline (perf_counter timestamp) passes.
     """
     ctx = f.context
@@ -269,8 +292,14 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     mul = order.mul
     key = cmp_to_key(order.cmp)
     p = ctx.field.p
-    mask = G.mask
+    exps = order.exps
+    bits = G.bits
     entries = G.entries
+    inserted = G.inserted
+    memo = G.memo
+    gen = len(inserted)
+    # the answer for a head no lead divides, shared by all such heads of a call
+    irreducible = (gen, None, None)
 
     # The remainder is acc, handle -> [unreduced coefficient], with its
     # distinct monomials in pending, ascending under the order. A multiple's
@@ -287,17 +316,36 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
         c = acc.pop(h)[0] % p
         if not c:
             continue
-        # bits of the variables absent from h: a reducer using one cannot divide
-        absent = ~mask(h)
-        for lm_g, mask_g, terms_g, kept_g in entries:
-            if mask_g & absent:
+        hit = memo.get(h)
+        if hit is None or hit[0] != gen:
+            # bits of the variables absent from h: a reducer using one cannot divide
+            absent = ~sum(compress(bits, exps(h)))
+            # a remembered answer stands unless a lead inserted since divides h
+            if hit is not None:
+                for lm_g, mask_g, _, _ in inserted[hit[0]:]:
+                    if not mask_g & absent and div(h, lm_g) is not None:
+                        hit = None
+                        break
+                else:
+                    hit = memo[h] = (gen, hit[1], hit[2])
+        if hit is None:
+            for entry in entries:
+                if entry[1] & absent:
+                    continue
+                q = div(h, entry[0])
+                if q is not None:
+                    break
+            else:
+                memo[h] = irreducible
+                out.append((h, c))
                 continue
-            q = div(h, lm_g)
-            if q is not None:
-                break
+            memo[h] = (gen, entry, q)
         else:
-            out.append((h, c))
-            continue
+            _, entry, q = hit
+            if entry is None:
+                out.append((h, c))
+                continue
+        _, _, terms_g, kept_g = entry
         steps += 1
         if deadline is not None and not steps % _DEADLINE_STRIDE and perf_counter() > deadline:
             if stats is not None:

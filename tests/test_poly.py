@@ -368,6 +368,89 @@ def test_multiple_is_kept_from_its_second_use(order, monkeypatch):
     assert kept == {q: products}
 
 
+# (kind, a, b, terms): kind 0 inserts the polynomial of terms at position a,
+# kind 1 inserts one with the lead of the b-th reducer and a tail from terms
+# at position a, kind 2 reduces the b-th polynomial of the pool
+_MEMO_OPS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 8), st.integers(0, 8), _TERMS3),
+                     min_size=1, max_size=16)
+_POOL = st.lists(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * 3), st.integers(1, 32002)),
+                          min_size=1, max_size=6), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_POOL, _MEMO_OPS)
+def test_remembered_divisors_equal_a_fresh_table(pool, ops):
+    # one table remembers each head's divisor across reduce calls while
+    # reducers are inserted anywhere, repeated leads included; every call
+    # must give the terms, steps and comparisons of a table built afresh
+    # from the same reducers in the same order
+    for order in (DegRevLexOrder(3), MatrixCachedOrder(subtotal_weight_matrix(3))):
+        ctx = _ctx(3, order)
+        pool_f = [ctx.polynomial(pairs) for pairs in pool]
+        G: list = []
+        table = Reducers(ctx)
+        for kind, at, b, pairs in ops:
+            if kind == 2:
+                f = pool_f[b % len(pool_f)]
+                s_memo, s_fresh = EngineStats(), EngineStats()
+                c0 = order.comparisons
+                got = reduce(f, table, deadline=_soon(), stats=s_memo)
+                c1 = order.comparisons
+                want = reduce(f, Reducers(ctx, G), deadline=_soon(), stats=s_fresh)
+                assert got.terms == want.terms
+                assert s_memo.reduction_steps == s_fresh.reduction_steps
+                assert c1 - c0 == order.comparisons - c1
+                continue
+            g = ctx.polynomial(pairs)
+            if kind == 1 and G:
+                lead = G[b % len(G)].as_tuples()[0][0]
+                lead_h = order.attach(lead)
+                g = ctx.polynomial([(lead, 1 + b)] + [(e, c) for e, c in pairs
+                                                      if order.cmp(order.attach(e), lead_h) < 0])
+            if not g.is_zero:
+                at %= len(G) + 1
+                G.insert(at, g)
+                table.insert(at, g)
+
+
+@pytest.mark.parametrize("order", [DegRevLexOrder(2), MatrixCachedOrder(degrevlex_weight_matrix(2))],
+                         ids=lambda o: type(o).__name__)
+def test_repeated_reduce_makes_no_failing_probe(order, monkeypatch):
+    # x^3 + 1 is probed first and divides none of the heads below, but its
+    # mask lets every head that uses x through; x*y + 1 divides them
+    ctx = _ctx(2, order)
+    g1 = ctx.polynomial([((3, 0), 1), ((0, 0), 1)])
+    g2 = ctx.polynomial([((1, 1), 1), ((0, 0), 1)])
+    f = ctx.polynomial([((2, 3), 1), ((2, 2), 5), ((1, 2), 7), ((2, 0), 3)])
+    table = Reducers(ctx, [g1, g2])
+    failing = []
+    div = order.div
+
+    def counting_div(a, b):
+        q = div(a, b)
+        if q is None:
+            failing.append((a, b))
+        return q
+
+    monkeypatch.setattr(order, "div", counting_div)
+    want = reduce(f, [g1, g2], deadline=_soon())
+    del failing[:]
+    assert reduce(f, table, deadline=_soon()) == want
+    assert failing
+    for _ in range(3):
+        del failing[:]
+        assert reduce(f, table, deadline=_soon()) == want
+        assert failing == []
+    # an insert that divides no remembered head costs a mask test and at
+    # most one failing div per head, and leaves the answers in place
+    table.insert(0, ctx.polynomial([((0, 4), 1)]))
+    reduce(f, table, deadline=_soon())
+    del failing[:]
+    assert reduce(f, table, deadline=_soon()) == want
+    assert failing == []
+
+
 def test_reducers_reject_zero_and_foreign_polynomials():
     ctx = _ctx(2, DegRevLexOrder(2))
     other = _ctx(2, DegRevLexOrder(2))
