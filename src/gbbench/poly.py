@@ -195,41 +195,41 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 _DEADLINE_STRIDE = 4096
 
-# a Reducers entry's kept value for a quotient used once: no products kept
-_USED_ONCE = object()
-
 
 class Reducers:
     """Divisor table for reduce: the reducers in probe order, each set up once.
 
-    An entry is (leading handle, mask, terms of the reducer made monic, kept
-    multiples). The mask has bit i set when variable i occurs in the leading
-    monomial, so a reducer whose mask has a bit that a term's mask lacks
-    cannot divide that term and reduce skips its div (Singular's short
-    exponent vectors, Bachmann and Schoenemann, ISSAC 1998, at one bit per
-    variable). A monic reducer is stored as it is; callers that keep a table
-    across reduce calls pay for any scaling and the context checks once per
-    reducer, not once per call.
+    An entry is (leading handle, mask, terms of the reducer made monic). The
+    mask has bit i set when variable i occurs in the leading monomial, so a
+    reducer whose mask has a bit that a term's mask lacks cannot divide that
+    term and reduce skips its div (Singular's short exponent vectors,
+    Bachmann and Schoenemann, ISSAC 1998, at one bit per variable). A monic
+    reducer is stored as it is; callers that keep a table across reduce
+    calls pay for any scaling and the context checks once per reducer, not
+    once per call.
 
-    The kept multiples map a quotient handle q to the products mul(q, h)
-    over the monic tail, in tail order, so a reduction step that repeats a
-    multiple costs no mul (F4 builds each reducer multiple once per degree
-    step; Faugere, JPAA 1999). A multiple is kept from its second use on:
-    its first use only records q as _USED_ONCE, because most multiples of a
-    sparse system are used once and keeping them would cost time and
-    memory for nothing.
+    The memo maps each head reduce has searched to (stamp, entry, q,
+    products): the first entry in probe order whose lead divides the head
+    and the quotient, or (stamp, None, None, None) if no lead divides it.
+    It answers exactly what a probe in order would, so the reducer
+    preference holds and no pick, step or comparison depends on the heads
+    earlier calls met; no cmp goes through it. The stamp is the length of
+    `inserted`, the entries in insertion order, when the answer was last
+    checked. An insert never reorders the entries already in the table, so
+    an answer stays right as long as no lead inserted after its stamp
+    divides the head, and reduce tests only those (a mask test, then a div)
+    before it uses the answer. If one does, the entries are probed again;
+    a probe that finds the old divisor (the new lead sits behind it) keeps
+    the old answer.
 
-    The divisor memo maps each head reduce has searched to (stamp, entry,
-    q): the first entry in probe order whose lead divides the head, with
-    the quotient, or (stamp, None, None) for a head no lead divides. The
-    stamp is the length of `inserted`, the entries in insertion order, when
-    the answer was last checked. An insert never reorders the entries
-    already in the table, so it can change an answer only by putting a new
-    lead that divides the head in front of the old divisor: an answer stays
-    right as long as no lead inserted after its stamp divides the head, and
-    reduce tests only those before it uses the answer. The table lives as
-    long as its owner: one buchberger or reduce_basis call, or one reduce
-    call on an iterable.
+    products is the answer's reducer multiple, mul(q, h) over the monic
+    tail in tail order: None after the head's first step, kept by its
+    second, so a step that repeats a multiple costs no mul (F4 builds each
+    reducer multiple once per degree step; Faugere, JPAA 1999). A multiple
+    used once keeps nothing: most multiples of a sparse system are. A kept
+    product enters the remainder by cmp exactly as a freshly built one. The
+    table lives as long as its owner: one buchberger or reduce_basis call,
+    or one reduce call on an iterable.
     """
 
     __slots__ = ("context", "bits", "entries", "inserted", "memo")
@@ -254,7 +254,7 @@ class Reducers:
         if g.is_zero:
             raise ValueError("zero polynomial among the reducers")
         h = g.terms[0][0]
-        entry = (h, self.mask(h), g.monic().terms, {})
+        entry = (h, self.mask(h), g.monic().terms)
         self.entries.insert(at, entry)
         self.inserted.append(entry)
 
@@ -266,20 +266,9 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     just the leading one. G is a Reducers table or an iterable of
     polynomials, which is made into one. Divisor probing follows the sequence
     order of G, so callers control the reducer preference by sorting G.
-    A step reuses the reducer multiple the table keeps for its quotient and
-    calls mul only for one it does not keep; the second use of a quotient
-    keeps its products in the table for later steps and calls. The kept
-    multiples change no result, step or comparison: a product is looked up
-    and, if new to the remainder, inserted by cmp exactly as a freshly built
-    one.
-    The divisor of a head comes from the table's memo when the head was
-    searched before and no lead inserted since divides it (a mask test and,
-    if that passes, one div per such lead); otherwise the entries are probed
-    in order and the answer is remembered. The memo holds the first divisor
-    in probe order, not just any divisor, so it answers exactly what the
-    probe loop would: the caller's reducer preference holds, and the picks,
-    steps and comparisons do not depend on which heads earlier calls met.
-    No cmp goes through the memo.
+    Each head's divisor and reducer multiple come from the table's memo as
+    the Reducers docstring describes; no result, step or comparison depends
+    on what the memo holds.
     Raises TimeLimitExceeded when a deadline (perf_counter timestamp) passes.
     """
     ctx = f.context
@@ -299,7 +288,7 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
     memo = G.memo
     gen = len(inserted)
     # the answer for a head no lead divides, shared by all such heads of a call
-    irreducible = (gen, None, None)
+    irreducible = (gen, None, None, None)
 
     # The remainder is acc, handle -> [unreduced coefficient], with its
     # distinct monomials in pending, ascending under the order. A multiple's
@@ -317,35 +306,35 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
         if not c:
             continue
         hit = memo.get(h)
+        first = False
         if hit is None or hit[0] != gen:
             # bits of the variables absent from h: a reducer using one cannot divide
             absent = ~sum(compress(bits, exps(h)))
             # a remembered answer stands unless a lead inserted since divides h
             if hit is not None:
-                for lm_g, mask_g, _, _ in inserted[hit[0]:]:
+                for lm_g, mask_g, _ in inserted[hit[0]:]:
                     if not mask_g & absent and div(h, lm_g) is not None:
-                        hit = None
                         break
                 else:
-                    hit = memo[h] = (gen, hit[1], hit[2])
-        if hit is None:
-            for entry in entries:
-                if entry[1] & absent:
+                    hit = memo[h] = (gen, *hit[1:])
+            if hit is None or hit[0] != gen:
+                for entry in entries:
+                    if entry[1] & absent:
+                        continue
+                    q = div(h, entry[0])
+                    if q is not None:
+                        break
+                else:
+                    memo[h] = irreducible
+                    out.append((h, c))
                     continue
-                q = div(h, entry[0])
-                if q is not None:
-                    break
-            else:
-                memo[h] = irreducible
-                out.append((h, c))
-                continue
-            memo[h] = (gen, entry, q)
-        else:
-            _, entry, q = hit
-            if entry is None:
-                out.append((h, c))
-                continue
-        _, _, terms_g, kept_g = entry
+                # a re-probe that finds the old divisor keeps its answer and products
+                first = hit is None or hit[1] is not entry
+                hit = memo[h] = (gen, entry, q, None) if first else (gen, *hit[1:])
+        _, entry, q, products = hit
+        if entry is None:
+            out.append((h, c))
+            continue
         steps += 1
         if deadline is not None and not steps % _DEADLINE_STRIDE and perf_counter() > deadline:
             if stats is not None:
@@ -353,14 +342,12 @@ def reduce(f: Polynomial, G, *, deadline: float | None = None, stats=None) -> Po
             raise TimeLimitExceeded
         # the reducer is monic: the head cancels against c * q * lm_g exactly
         factor = p - c
-        # the products of q over the tail: built by mul on q's first two
-        # uses, kept from the second on and read back from then
-        products = kept_g.get(q)
+        terms_g = entry[2]
+        # the multiple is built on the answer's first two steps, kept by the second
         if products is None:
-            kept_g[q] = _USED_ONCE
             products = [mul(q, hg) for hg, _ in islice(terms_g, 1, None)]
-        elif products is _USED_ONCE:
-            products = kept_g[q] = [mul(q, hg) for hg, _ in islice(terms_g, 1, None)]
+            if not first:
+                memo[h] = (gen, entry, q, products)
         for m, (_, ct) in zip(products, islice(terms_g, 1, None)):
             cell = acc.get(m)
             if cell is None:

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private helper is used by the package.
+"""Every name a package module imports is used in that module, every
+private helper is used by the package, the verifier shares no code with the
+engine, and the layout of a reducer table is read only by poly.py.
 
 The package's __init__.py is left out of the import check: its imports are
 the public re-exports. A name counts as used when it appears anywhere in the
@@ -79,7 +80,7 @@ def test_the_check_sees_an_unused_private_helper():
 VERIFIER = ("_packed_basis", "_sinks_packed", "verify_failure", "verify_groebner")
 ENGINE_NAMES = {"reduce", "Reducers", "s_polynomial", "LeadTable", "_update", "buchberger",
                 "reduce_basis", "STRATEGIES", "_merge"}
-ENGINE_ATTRS = {"monic", "cmp", "attach", "mul", "div", "lcm", "entries"}
+ENGINE_ATTRS = {"monic", "cmp", "attach", "mul", "div", "lcm", "entries", "memo", "inserted"}
 
 
 def _engine_uses(source: str) -> list:
@@ -109,3 +110,35 @@ def test_the_check_sees_engine_code_in_the_verifier():
               "    return order.cmp(r, r)\n\n\ndef elsewhere(order):\n    return order.cmp\n"
               + stubs)
     assert _engine_uses(source) == [("_packed_basis", 2, "reduce"), ("_packed_basis", 3, "cmp")]
+
+
+# the attributes that hold a poly.Reducers table's layout: its entries, their
+# insertion order, the per-head memo and the mask bits
+REDUCERS_LAYOUT = {"entries", "inserted", "memo", "bits"}
+
+
+def _layout_reads(sources: dict) -> list:
+    """(module, line, name) for each Reducers layout attribute that a module
+    in sources other than poly.py reads; sources maps module names to
+    source text."""
+    out = []
+    for mod, text in sources.items():
+        if mod == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in REDUCERS_LAYOUT:
+                out.append((mod, node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_only_poly_reads_the_reducer_layout():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _layout_reads(sources) == []
+
+
+def test_the_check_sees_a_reducer_layout_read():
+    sources = {
+        "poly.py": "def reduce(f, G):\n    return G.memo\n",
+        "groebner.py": "def run(table):\n    table.insert(0, g)\n    return len(table.entries)\n",
+    }
+    assert _layout_reads(sources) == [("groebner.py", 3, "entries")]

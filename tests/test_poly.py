@@ -18,7 +18,6 @@ from gbbench.ordering import (
 from gbbench.groebner import EngineStats
 from gbbench.poly import (
     _DEADLINE_STRIDE,
-    _USED_ONCE,
     PolyContext,
     Polynomial,
     Reducers,
@@ -227,13 +226,23 @@ def test_reduce_against_table_equals_reduce_against_list():
             for _ in range(2):
                 assert reduce(f, table, deadline=_soon()) == want
             assert s_table.reduction_steps == s_list.reduction_steps
-            # an entry holds the leading handle, its mask, the monic terms and
-            # the kept multiples: quotient -> products over the monic tail
-            assert [e[:3] for e in table.entries] == [
+            # an entry holds the leading handle, its mask and the monic terms
+            assert table.entries == [
                 (g.terms[0][0], table.mask(g.terms[0][0]), g.monic().terms) for g in G]
-            for _, _, terms, kept in table.entries:
-                for q, products in kept.items():
-                    assert products == [order.mul(q, h) for h, _ in terms[1:]]
+            _assert_memo_invariants(table)
+
+
+def _assert_memo_invariants(table):
+    # each remembered answer: a table entry or none, the quotient of the head
+    # by its lead, and products that are none or the multiple over its tail
+    order = table.context.order
+    for h, (_, entry, q, products) in table.memo.items():
+        if entry is None:
+            assert q is None and products is None
+            continue
+        assert any(entry is e for e in table.entries)
+        assert order.div(h, entry[0]) == q
+        assert products is None or products == [order.mul(q, t) for t, _ in entry[2][1:]]
 
 
 def _reduce_oracle(f, G, stats):
@@ -327,12 +336,14 @@ def test_reused_table_equals_fresh_table_and_oracle(initial, ops):
                     at %= len(G) + 1
                     G.insert(at, g)
                     table.insert(at, g)
+                    _assert_memo_invariants(table)
                 continue
             s_kept, s_fresh, s_old = EngineStats(), EngineStats(), EngineStats()
             got = reduce(g, table, deadline=_soon(), stats=s_kept)
             assert got == reduce(g, G, deadline=_soon(), stats=s_fresh)
             assert got.terms == _reduce_oracle(g, G, s_old)
             assert s_kept.reduction_steps == s_fresh.reduction_steps == s_old.reduction_steps
+            _assert_memo_invariants(table)
 
 
 @pytest.mark.parametrize("order", [DegRevLexOrder(2), MatrixCachedOrder(degrevlex_weight_matrix(2))],
@@ -343,7 +354,7 @@ def test_multiple_is_kept_from_its_second_use(order, monkeypatch):
     g = ctx.polynomial([((2, 0), 1), ((0, 1), 1), ((0, 0), 1)])
     f = ctx.polynomial([((2, 0), 1)])
     table = Reducers(ctx, [g])
-    kept = table.entries[0][3]
+    head = f.terms[0][0]
     q = order.attach((0, 0))
     tail = [h for h, _ in g.terms[1:]]
     products = [order.mul(q, h) for h in tail]
@@ -354,18 +365,38 @@ def test_multiple_is_kept_from_its_second_use(order, monkeypatch):
     # first use: one mul per tail term, nothing kept
     assert reduce(f, table, deadline=_soon()).as_tuples() == want
     assert calls == [(q, h) for h in tail]
-    assert kept == {q: _USED_ONCE}
+    assert table.memo[head][3] is None
     # second use: the same calls, and the products are kept
     del calls[:]
     assert reduce(f, table, deadline=_soon()).as_tuples() == want
     assert calls == [(q, h) for h in tail]
-    assert kept == {q: products}
+    assert table.memo[head][3] == products
     # later uses: no mul at all
     del calls[:]
     for _ in range(3):
         assert reduce(f, table, deadline=_soon()).as_tuples() == want
     assert calls == []
-    assert kept == {q: products}
+    assert table.memo[head][3] == products
+
+
+@pytest.mark.parametrize("order", [DegRevLexOrder(2), MatrixCachedOrder(degrevlex_weight_matrix(2))],
+                         ids=lambda o: type(o).__name__)
+def test_kept_multiple_survives_an_insert_behind_its_divisor(order, monkeypatch):
+    # x^2*y^2 modulo x*y + 1 takes two steps, with quotients x*y and 1; x^2 + 1,
+    # inserted behind x*y + 1, divides the head x^2*y^2 but is probed after
+    # it, so the re-probe finds the old divisor and its kept products stand
+    ctx = _ctx(2, order)
+    f = ctx.polynomial([((2, 2), 1)])
+    table = Reducers(ctx, [ctx.polynomial([((1, 1), 1), ((0, 0), 1)])])
+    want = reduce(f, table, deadline=_soon())
+    for _ in range(2):
+        assert reduce(f, table, deadline=_soon()) == want
+    table.insert(1, ctx.polynomial([((2, 0), 1), ((0, 0), 1)]))
+    calls = []
+    mul = order.mul
+    monkeypatch.setattr(order, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+    assert reduce(f, table, deadline=_soon()) == want
+    assert calls == []
 
 
 # (kind, a, b, terms): kind 0 inserts the polynomial of terms at position a,
@@ -466,9 +497,8 @@ def test_reducers_reject_zero_and_foreign_polynomials():
     with pytest.raises(ValueError, match="zero polynomial"):
         table.insert(1, ctx.polynomial([]))
     assert len(table.entries) == 1
-    # an entry holds the leading handle, its mask, the monic terms and no
-    # kept multiples yet
-    assert table.entries[0] == (g.terms[0][0], 0b01, g.monic().terms, {})
+    # an entry holds the leading handle, its mask and the monic terms
+    assert table.entries[0] == (g.terms[0][0], 0b01, g.monic().terms)
     with pytest.raises(ValueError, match="different contexts"):
         reduce(foreign, table)
     with pytest.raises(ValueError, match="different contexts"):
