@@ -15,6 +15,8 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
+from itertools import islice
+from math import comb
 from operator import attrgetter, le, mul
 from time import perf_counter
 from typing import NamedTuple
@@ -286,12 +288,13 @@ def _packed_basis(G, F):
     and degree-first (first row all ones): then every monomial met during
     top-reduction has degree at most that of the seed, which bounds every
     field; any other order raises ValueError. Returns
-    (prepped, pack_key, pack_exps, pack_lcm, mtop, ones):
+    (prepped, pack_key, pack_exps, pack_lcm, mtop, ones, pops):
 
-    - prepped holds each g as (support mask of lm(g), (packed exps of lm(g),
-      monic tail)); a tail term is (key offset, exponent offset, coefficient
-      over lc(g)) from lm(g), scaled by field.inv, not Polynomial.monic, so
-      the verifier shares no arithmetic with the engine.
+    - prepped holds each g as (support mask of lm(g), (mtop - packed exps
+      of lm(g), monic tail)); a tail term is (key of lm(g) - its key,
+      exponent offset from lm(g), coefficient over lc(g)), scaled by
+      field.inv, not Polynomial.monic, so the verifier shares no arithmetic
+      with the engine. Keys are negated so that a min-heap pops the largest.
     - pack_key(e) = mtop + sum(e_i * K_i), K_i the packed column i. It is
       linear in the exponents, so key(a * b) = key(a) + key(b) - mtop, and
       numeric order of keys is the lexicographic order of weight vectors.
@@ -303,6 +306,8 @@ def _packed_basis(G, F):
     - ones holds bias - 1 in every field, so (a + ones) & mtop keeps the
       guard bit of every field where a's exponent is nonzero: the support
       mask of a, in two integer operations.
+    - pops, the count of monomials of degree at most twice the top degree,
+      bounds the monomials that a window's top-reduction pops.
     """
     order = G[0].context.order
     rows = order.matrix.rows
@@ -346,75 +351,119 @@ def _packed_basis(G, F):
         inv = field.inv(lm_c)
         lm_k = pack_key(lm_e)
         lm_ep = pack_exps(lm_e)
-        tail = [(pack_key(e) - lm_k, pack_exps(e) - lm_ep, c * inv % p)
+        tail = [(lm_k - pack_key(e), pack_exps(e) - lm_ep, c * inv % p)
                 for e, c in terms[1:]]
-        prepped.append(((lm_ep + ones) & mtop, (lm_ep, tail)))
-    return prepped, pack_key, pack_exps, pack_lcm, mtop, ones
+        prepped.append(((lm_ep + ones) & mtop, (mtop - lm_ep, tail)))
+    return prepped, pack_key, pack_exps, pack_lcm, mtop, ones, comb(2 * maxdeg + n, n)
 
 
-def _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline) -> bool:
-    """Top-reduce the seed against the prepped basis; True iff it vanishes.
+# seeds per window of _reduce_windows; 32 was slower on dense, 128 no faster
+_WINDOW = 64
 
-    Seed terms are (key, packed exps, coeff). A key need only be injective
-    and ordered like the monomials, so a seed may be keyed relative to any
-    fixed monomial: an S-pair's seed is keyed relative to its lcm, and every
-    key the reduction derives stays shifted by the same amount.
 
-    Pending terms live in acc (key -> [coeff, packed exps]) with a heap of
-    negated keys for max-first extraction; coefficients coalesce in the
-    dict, so each distinct pending monomial sits in the heap once.
+def _reduce_windows(seeds, size, prepped, p, mtop, ones, pops, deadline):
+    """Top-reduce the seeds against the prepped basis, size at a time; the
+    name of the first seed that does not vanish, or None.
 
-    The divisor of a term is the first element of prepped that divides it.
-    Only an element whose leading support lies inside the term's support can
-    divide it, so the probe runs over cands[support mask of the term]: the
-    elements whose mask has no guard bit the term's lacks, in prepped order,
-    listed the first time a mask is met. The first divisor found is the one
-    a probe over all of prepped would find. Each candidate gets the exact
-    guard-bit test (see _packed_basis). The divisor's tail is monic, so
-    the head c cancels by adding (p - c) times the tail's shifted terms.
+    seeds yields (name, terms), a term being (negated key, packed exps,
+    coefficient below p), the keys of a window from one origin. A window's
+    pending monomials live in acc (key -> [vector, packed exps]) and a heap,
+    each popped once, largest first. A vector holds the monomial's
+    coefficient in each seed, one w-bit lane per seed, first seed lowest,
+    so one divisor probe and one pass over the divisor's tail serve them
+    all. Until popped a lane holds at most top: two seed terms, then one
+    product of a factor at most p and a tail coefficient per pop. A popped
+    vector is reduced mod p (by % in windows of one) by Barrett steps
+    q = (x >> a) * m >> b, m = 2**(a + b) // p, whose products stay below
+    2**w, then a guard-bit test subtracts p where a lane still reaches it.
+    A seed fails at a monomial with no divisor where its lane is nonzero;
+    later lanes drop out from there, so the lowest failing lane is the
+    first failing seed.
+
+    The divisor is the first element of prepped whose lead divides the
+    monomial, probed among cands[support mask of the monomial], the elements
+    whose leading support lies inside it. Its tail is monic, so vector c
+    cancels by adding p - c times the tail's shifted terms. The deadline is
+    polled before each window and every _DEADLINE_STRIDE reduction steps.
     """
-    acc: dict = {}
-    heap = []
-    for k, e, c in seed:
-        got = acc.get(k)
-        if got is None:
-            acc[k] = [c % p, e]
-            heap.append(-k)
-        else:
-            got[0] += c
-    heapify(heap)
+    top = 2 * p + pops * p * (p - 1)
+    # 3 spare bits let the steps reach 2p for the smallest p too
+    w = max(top.bit_length(), p.bit_length() + 3) + 1
+    rep = ((1 << w * size) - 1) // ((1 << w) - 1)  # 1 in every lane
+    guard, lane_ones, pvec = rep << (w - 1), rep * ((1 << w - 1) - 1), rep * p
+    steps = []
+    while top >= 2 * p:
+        # b as large as keeps (x >> a) * m below 2**w, a to balance the
+        # error of the shift against that of m; top bounds what is left
+        t = top.bit_length()
+        a, b = max(0, (2 * t - w + 1) // 2), w - t + p.bit_length() - 1
+        steps.append((a, b, (1 << a + b) // p, rep * ((1 << w - a) - 1), rep * ((1 << w - b) - 1)))
+        top = (top * p >> a + b) + (1 << a) + p
+    lanes = range(0, w * size, w)
+    live = (1 << w * size) - 1
+    cands: dict = {}
     tick = 0
-    while heap:
-        k = -heappop(heap)
-        c, e = acc.pop(k)
-        c %= p
-        if not c:
-            continue
-        s = (e + ones) & mtop
-        probe = cands.get(s)
-        if probe is None:
-            probe = cands[s] = [r for sg, r in prepped if not sg & ~s]
-        for lm_ep, tail in probe:
-            if (e - lm_ep + mtop) & mtop == mtop:
-                break
-        else:
-            return False
-        if deadline is not None:
-            tick += 1
-            if tick >= _DEADLINE_STRIDE:
-                tick = 0
-                if perf_counter() > deadline:
-                    raise TimeLimitExceeded
-        factor = p - c
-        for dk, de, ct in tail:
-            k2 = k + dk
-            got = acc.get(k2)
-            if got is None:
-                acc[k2] = [factor * ct % p, e + de]
-                heappush(heap, -k2)
+    seeds = iter(seeds)
+    # zip is the cheap form of windows of one seed
+    for window in zip(seeds) if size == 1 else iter(lambda: list(islice(seeds, size)), []):
+        if deadline is not None and perf_counter() > deadline:
+            raise TimeLimitExceeded
+        acc: dict = {}
+        heap = []
+        for sh, (_, terms) in zip(lanes, window):
+            for k, e, c in terms:
+                c <<= sh
+                got = acc.get(k)
+                if got is None:
+                    acc[k] = [c, e]
+                    heap.append(k)
+                else:
+                    got[0] += c
+        heapify(heap)
+        fail = None
+        while heap:
+            k = heappop(heap)
+            c, e = acc.pop(k)
+            if size == 1:
+                c %= p
+                factor = p - c
             else:
-                got[0] += factor * ct
-    return True
+                c &= live
+                for a, b, m, ma, mb in steps:
+                    c -= ((c >> a & ma) * m >> b & mb) * p
+                c -= (((c | guard) - pvec & guard) >> (w - 1)) * p
+                # p - c in the nonzero lanes, so zero lanes stay zero
+                factor = (((c + lane_ones) & guard) >> (w - 1)) * p - c
+            if not c:
+                continue
+            s = (e + ones) & mtop
+            probe = cands.get(s)
+            if probe is None:
+                probe = cands[s] = [r for sg, r in prepped if not sg & ~s]
+            for lead, tail in probe:
+                if (e + lead) & mtop == mtop:
+                    break
+            else:
+                fail = ((factor & -factor).bit_length() - 1) // w
+                if not fail:
+                    break
+                live = (1 << w * fail) - 1
+                continue
+            if deadline is not None:
+                tick += 1
+                if not tick % _DEADLINE_STRIDE and perf_counter() > deadline:
+                    raise TimeLimitExceeded
+            for dk, de, ct in tail:
+                k2 = k + dk
+                got = acc.get(k2)
+                if got is None:
+                    acc[k2] = [factor * ct, e + de]
+                    heappush(heap, k2)
+                else:
+                    got[0] += factor * ct
+        if fail is not None:
+            return window[fail][0]
+    return None
 
 
 def verify_failure(G, F=None, *, max_seconds: float | None = None) -> tuple | None:
@@ -437,27 +486,27 @@ def verify_failure(G, F=None, *, max_seconds: float | None = None) -> tuple | No
             raise ValueError("polynomials from different contexts")
     p = ctx.field.p
     deadline = perf_counter() + max_seconds if max_seconds is not None else None
-    prepped, pack_key, pack_exps, pack_lcm, mtop, ones = _packed_basis(G, F)
-    cands: dict = {}
-    lms = [r[0] for _, r in prepped]
+    prepped, pack_key, pack_exps, pack_lcm, mtop, ones, pops = _packed_basis(G, F)
+    lms = [mtop - r[0] for _, r in prepped]
     # S(g_i, g_j) = (L / lm_i) * tail_i - (L / lm_j) * tail_j with the
     # leading terms cancelled and the tails monic; each side negated once
     ups = [tail for _, (_, tail) in prepped]
     downs = [[(dk, de, p - c) for dk, de, c in up] for up in ups]
-    for i, (lm_i, up_i) in enumerate(zip(lms, ups)):
-        for j in range(i + 1, len(G)):
-            if deadline is not None and perf_counter() > deadline:
-                raise TimeLimitExceeded
-            big = pack_lcm(lm_i, lms[j])
-            seed = [(dk, big + de, c) for dk, de, c in up_i]
-            seed += [(dk, big + de, c) for dk, de, c in downs[j]]
-            if not _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline):
-                return idx[i], idx[j]
-    for k, f in enumerate(F):
-        seed = [(pack_key(e), pack_exps(e), c) for e, c in f.as_tuples()]
-        if not _sinks_packed(seed, prepped, cands, p, mtop, ones, deadline):
-            return "input", k
-    return None
+    # seeds of a binomial basis share almost no monomial, so each is its own
+    # window, keyed relative to its lcm L; other seeds are keyed absolutely
+    size = _WINDOW if any(len(up) > 1 for up in ups) else 1
+    lm_exps = [g.as_tuples()[0][0] for g in G]
+
+    def seeds():
+        for i, (lm_i, up_i) in enumerate(zip(lms, ups)):
+            for j in range(i + 1, len(G)):
+                big = pack_lcm(lm_i, lms[j])
+                base = -pack_key(map(max, lm_exps[i], lm_exps[j])) if size > 1 else 0
+                yield (idx[i], idx[j]), [(base + dk, big + de, c) for dk, de, c in up_i + downs[j]]
+        for k, f in enumerate(F):
+            yield ("input", k), [(-pack_key(e), pack_exps(e), c % p) for e, c in f.as_tuples()]
+
+    return _reduce_windows(seeds(), size, prepped, p, mtop, ones, pops, deadline)
 
 
 def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
@@ -468,7 +517,9 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     reduces to zero, so the input ideal is contained in the one G generates.
     Normal forms are recomputed on the verifier's own heap of packed keys
     rather than the engine's cmp-sorted reducer, so the two routes share no
-    arithmetic.
+    arithmetic, and for a window of _WINDOW seeds at once, one packed
+    coefficient per seed (see _reduce_windows); over a binomial basis, whose
+    seeds share almost no monomial, each seed is a window of its own.
     Monomials and keys are packed into single integers, which needs the
     order's weight matrix to be integer and degree-first (every order this
     package ships); any other order raises ValueError. verify_failure names

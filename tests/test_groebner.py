@@ -1,7 +1,9 @@
+import random
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import product
 from math import ceil, log2
 from pathlib import Path
 
@@ -583,20 +585,21 @@ def test_verifier_agrees_with_straightforward_oracle(system, drop):
 
 
 def test_verifier_checks_every_pair_and_input(monkeypatch):
-    # no S-pair is skipped, coprime ones included: one top-reduction per pair
-    # of an accepted basis and one per input
-    calls = []
-    sinks = groebner._sinks_packed
-    monkeypatch.setattr(groebner, "_sinks_packed",
-                        lambda *args: calls.append(1) or sinks(*args))
+    # no S-pair is skipped, coprime ones included: every pair of an accepted
+    # basis and every input enters a window, in (i, j) order, then the inputs
+    seen = []
+    windows = groebner._reduce_windows
+    monkeypatch.setattr(groebner, "_reduce_windows", lambda seeds, *args: windows(
+        (seen.append(name) or (name, terms) for name, terms in seeds), *args))
     field = PrimeField(32003)
     for spec in (cyclic_system(4), load_bundled("lichtblau3")):
         polys = realize(spec, DegRevLexOrder(spec.nvars), field)
         res = buchberger(polys)
         for G in (res.basis, reduce_basis(res.basis)):
-            calls.clear()
+            seen.clear()
             assert verify_groebner(G, polys), spec.name
-            assert len(calls) == len(G) * (len(G) - 1) // 2 + len(polys), spec.name
+            pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+            assert seen == pairs + [("input", k) for k in range(len(polys))], spec.name
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -605,7 +608,7 @@ def test_packed_lcm_and_support_mask(n, deg, data):
     # exponents up to the field bound: one below the guard bit
     ctx = _ctx(n)
     f = ctx.polynomial([((deg,) + (0,) * (n - 1), 1)])
-    _, pack_key, pack_exps, pack_lcm, mtop, ones = _packed_basis([f], [])
+    _, pack_key, pack_exps, pack_lcm, mtop, ones, _ = _packed_basis([f], [])
     bias = mtop & -mtop
     exps = st.tuples(*[st.one_of(st.just(0), st.integers(0, bias - 1),
                                  st.just(bias - 1))] * n)
@@ -636,15 +639,94 @@ def test_verify_failure_names_the_failing_check():
     assert verify_failure([], polys) == ("input", 0)
 
 
-def test_verify_deadline_polls_inside_one_reduction():
-    # one element forms no pairs, so only the poll inside the input's
-    # 20000-step top-reduction can see the deadline
+def _stopped_clock(monkeypatch):
+    # the verifier's clock reads 0 for its first two calls (the deadline and
+    # the poll before the first window), then far past any deadline; returns
+    # the list of readings taken
+    readings = []
+    monkeypatch.setattr(groebner, "perf_counter",
+                        lambda: readings.append(1) or (0.0 if len(readings) <= 2 else 1e9))
+    return readings
+
+
+def test_verify_deadline_polls_inside_one_reduction(monkeypatch):
+    # one element forms no pairs, so the input's 20000-step top-reduction is
+    # the only window, and only the poll inside it sees the deadline pass
     ctx = _ctx(1, DegRevLexOrder(1))
     g = ctx.polynomial([((1,), 1), ((0,), -1)])
     f = ctx.polynomial([((20000,), 1), ((0,), -1)])
     assert verify_failure([g], [f]) is None
+    readings = _stopped_clock(monkeypatch)
     with pytest.raises(TimeLimitExceeded):
-        verify_failure([g], [f], max_seconds=-1.0)
+        verify_failure([g], [f], max_seconds=1.0)
+    assert len(readings) == 3
+
+
+def test_verify_deadline_polls_inside_a_window_of_many_seeds(monkeypatch):
+    # a basis with a trinomial shares windows: its 3 pairs and 8 inputs are
+    # one window, whose inputs pop about 5000 monomials x^m between them
+    ctx = _ctx(3)
+    G = [ctx.polynomial([((1, 0, 0), 1), ((0, 0, 0), -1)]),
+         ctx.polynomial([((0, 1, 0), 1), ((0, 0, 0), -1)]),
+         ctx.polynomial([((0, 0, 2), 1), ((0, 0, 1), 1), ((0, 0, 0), -2)])]
+    F = [ctx.polynomial([((5000 + k, 0, 0), 1), ((0, 0, 0), -1)]) for k in range(8)]
+    assert verify_failure(G, F) is None
+    readings = _stopped_clock(monkeypatch)
+    with pytest.raises(TimeLimitExceeded):
+        verify_failure(G, F, max_seconds=1.0)
+    assert len(readings) == 3
+
+
+def _dense(field):
+    # every monomial of degrees 3, 3, 3 and 2 in four variables with seeded
+    # coefficients: 21 reduced elements, so 210 pairs and 4 inputs, which
+    # fill three windows of 64 seeds and part of a fourth
+    rng = random.Random(1)
+    ctx = PolyContext(field, DegRevLexOrder(4))
+    F = [ctx.polynomial([(e, rng.randrange(1, field.p)) for e in product(range(d + 1), repeat=4)
+                         if sum(e) <= d]) for d in (3, 3, 3, 2)]
+    return ctx, F, reduce_basis(buchberger(F).basis)
+
+
+def _plus(ctx, *polys, extra=()):
+    return ctx.polynomial([t for f in polys for t in f.as_tuples()] + list(extra))
+
+
+def test_verify_failure_across_windows():
+    ctx, F, red = _dense(PrimeField(32003))
+    assert groebner._WINDOW == 64 and len(red) == 21
+    # g_0 + 1 and g_0 + m, m a tail monomial of g_0, so that no lead divides
+    # it: S(g_0, g_0 + 1) = -1 fails at 1, S(g_0, g_0 + m) at m > 1
+    m = red[0].as_tuples()[1][0]
+    assert sum(m) > 0
+    low = _plus(ctx, red[0], extra=[((0, 0, 0, 0), 1)])
+    high = _plus(ctx, red[0], extra=[(m, 1)])
+    # 49 sums of basis elements keep a basis, so every pair among the first
+    # 70 elements sinks; with g_0 + 1 at index 70, pair 69 in (i, j) order
+    # fails first: lane 5 of the second window
+    sums = [_plus(ctx, red[i], red[j]) for i in range(21) for j in range(i + 1, 21)][:49]
+    assert verify_failure(red + sums + [low]) == (0, 70)
+    # in red + [low, high] the later seed meets its failure first, yet the
+    # earlier is named; in either order the witness is pair (0, 21)
+    for G in (red + [low, high], red + [high, low]):
+        assert verify_failure(G) == _verify_oracle(G) == (0, 21)
+    # every pair passes, and the fifth input, seed 214 in the fourth window,
+    # does not
+    assert verify_failure(red, F + [low]) == ("input", 4)
+
+
+def test_verify_failure_with_wide_lanes():
+    # p = 2**61 - 1 widens every lane past 120 bits; katsura-5's 83 seeds
+    # fill one window and part of a second
+    field = PrimeField(2**61 - 1)
+    spec = katsura_system(5)
+    polys = realize(spec, DegRevLexOrder(spec.nvars), field)
+    red = reduce_basis(buchberger(polys).basis)
+    assert len(red) * (len(red) - 1) // 2 + len(polys) > groebner._WINDOW
+    assert verify_failure(red, polys) is None and _verify_oracle(red, polys) is None
+    for k in (0, len(red) // 2, len(red) - 1):
+        short = red[:k] + red[k + 1:]
+        assert verify_failure(short, polys) == _verify_oracle(short, polys) is not None, k
 
 
 def test_reorder_variables_by_occurrence():

@@ -77,7 +77,7 @@ def test_the_check_sees_an_unused_private_helper():
 # the verifier must reach the engine through none of its code: neither a name
 # it defines nor an attribute of the orders, polynomials or reducer tables
 # that the engine's arithmetic runs on
-VERIFIER = ("_packed_basis", "_sinks_packed", "verify_failure", "verify_groebner")
+VERIFIER = ("_packed_basis", "_reduce_windows", "verify_failure", "verify_groebner")
 ENGINE_NAMES = {"reduce", "Reducers", "s_polynomial", "LeadTable", "_update", "buchberger",
                 "reduce_basis", "STRATEGIES", "_merge"}
 ENGINE_ATTRS = {"monic", "cmp", "attach", "mul", "div", "lcm", "entries", "memo", "inserted"}
