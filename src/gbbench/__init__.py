@@ -27,7 +27,6 @@ from .groebner import (
     audit_cached_weights,
     buchberger,
     reduce_basis,
-    reorder_variables,
     verify_failure,
     verify_groebner,
 )
@@ -42,6 +41,7 @@ from .corpus import (
     parse_system,
     realize,
     render_system,
+    reorder_variables,
 )
 from .bench import (
     BenchmarkConfig,

@@ -21,7 +21,7 @@ from importlib import resources
 from itertools import groupby
 from time import perf_counter
 
-from .corpus import SystemSpec, permute_variables, realize
+from .corpus import SystemSpec, realize, reorder_variables
 from .groebner import (
     INDUCED_ORDER,
     STRATEGIES,
@@ -29,7 +29,6 @@ from .groebner import (
     audit_cached_weights,
     buchberger,
     reduce_basis,
-    reorder_variables,
     verify_failure,
 )
 from .modfield import DEFAULT_MODULUS, PrimeField
@@ -188,14 +187,6 @@ def timed_run(spec: SystemSpec, order_label: str, config: BenchmarkConfig) -> Ru
             return RunCell(seconds=total / m, m=m, aborted=False, stats=res.stats)
 
 
-def _reordered(spec: SystemSpec, config: BenchmarkConfig) -> SystemSpec:
-    if not config.reorder:
-        return spec
-    order = DegRevLexOrder(spec.nvars)
-    polys = realize(spec, order, PrimeField(config.modulus))
-    return permute_variables(spec, reorder_variables(polys))
-
-
 def run_benchmark(specs, config: BenchmarkConfig | None = None) -> BenchmarkReport:
     """Benchmark each system across the configured orders.
 
@@ -206,7 +197,8 @@ def run_benchmark(specs, config: BenchmarkConfig | None = None) -> BenchmarkRepo
     config = config or BenchmarkConfig()
     rows = []
     for spec in specs:
-        spec = _reordered(spec, config)
+        if config.reorder:
+            spec = reorder_variables(spec)
         cells = {}
         for label in config.orders:
             cells[label] = timed_run(spec, label, config)

@@ -259,6 +259,20 @@ def permute_variables(spec: SystemSpec, perm) -> SystemSpec:
     return SystemSpec(spec.name, vars_new, polys, spec.provenance)
 
 
+def reorder_variables(spec: SystemSpec) -> SystemSpec:
+    """The system with its variables ranked most main first: by descending
+    occurrence count (a variable's exponents summed over every term whose
+    coefficient is not 0), ties by input position, so rarely used variables
+    drift to the least main end. The count reads the exact coefficients, so
+    the ranking is the same for every p."""
+    occ = [0] * spec.nvars
+    for terms in spec.polynomials:
+        for c, e in terms:
+            if c:
+                occ = [a + b for a, b in zip(occ, e)]
+    return permute_variables(spec, sorted(range(spec.nvars), key=lambda v: (-occ[v], v)))
+
+
 def realize(spec: SystemSpec, order: MonomialOrder, field: PrimeField) -> list:
     """Build engine polynomials for the system under an order and field.
 

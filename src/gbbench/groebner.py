@@ -495,7 +495,7 @@ def verify_failure(G, F=None, *, max_seconds: float | None = None) -> tuple | No
     # seeds of a binomial basis share almost no monomial, so each is its own
     # window, keyed relative to its lcm L; other seeds are keyed absolutely
     size = _WINDOW if any(len(up) > 1 for up in ups) else 1
-    lm_exps = [g.as_tuples()[0][0] for g in G]
+    lm_exps = [ctx.order.exps(g.leading_monomial()) for g in G]
 
     def seeds():
         for i, (lm_i, up_i) in enumerate(zip(lms, ups)):
@@ -526,26 +526,6 @@ def verify_groebner(G, F=None, *, max_seconds: float | None = None) -> bool:
     the first failing pair or input.
     """
     return verify_failure(G, F, max_seconds=max_seconds) is None
-
-
-def reorder_variables(F) -> tuple:
-    """Permutation of variable indices, most main first.
-
-    Variables are ranked by descending total occurrence count (sum of
-    exponents over every term of every polynomial), ties by input position,
-    so rarely used variables drift to the least main end. Off by default in
-    the benchmark driver; callers apply the permutation themselves.
-    """
-    F = list(F)
-    if not F:
-        raise ValueError("need at least one polynomial")
-    n = F[0].context.nvars
-    occ = [0] * n
-    for f in F:
-        for exps, _ in f.as_tuples():
-            for v, e in enumerate(exps):
-                occ[v] += e
-    return tuple(sorted(range(n), key=lambda v: (-occ[v], v)))
 
 
 def audit_cached_weights(polys) -> list:

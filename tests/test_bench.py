@@ -28,7 +28,7 @@ from gbbench.bench import (
     timed_run,
     verify_order_robustness,
 )
-from gbbench.corpus import SystemSpec, cyclic_system, katsura_system, realize
+from gbbench.corpus import SystemSpec, cyclic_system, katsura_system, realize, reorder_variables
 from gbbench.groebner import (
     INDUCED_ORDER,
     STRATEGIES,
@@ -258,9 +258,18 @@ def test_render_empty_report():
 
 
 def test_run_benchmark_with_reordering():
-    report = run_benchmark([katsura_system(3)], _fast_config(reorder=True))
-    assert report.rows[0].name == "katsura-3"
-    assert report.rows[0].ratios["subtotal/degrevlex"] is not None
+    def counts(spec, **kw):
+        row = run_benchmark([spec], _fast_config(**kw)).rows[0]
+        assert row.name == "katsura-3"
+        assert row.ratios["subtotal/degrevlex"] is not None
+        return {label: replace(cell.stats, wall_time=0.0) for label, cell in row.cells.items()}
+
+    # katsura-3 reorders to (u1, u0, u2), which changes its counts
+    reordered = reorder_variables(katsura_system(3))
+    assert reordered.variables == ("u1", "u0", "u2")
+    applied = counts(katsura_system(3), reorder=True)
+    assert applied == counts(reordered)
+    assert applied != counts(katsura_system(3))
 
 
 def test_render_text_report():

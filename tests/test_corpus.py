@@ -16,6 +16,7 @@ from gbbench.corpus import (
     permute_variables,
     realize,
     render_system,
+    reorder_variables,
 )
 from gbbench.modfield import PrimeField
 from gbbench.ordering import DegRevLexOrder
@@ -236,6 +237,21 @@ def test_permute_variables():
     assert back == spec
     with pytest.raises(ValueError):
         permute_variables(spec, (0, 0, 1))
+
+
+def test_reorder_variables_by_occurrence():
+    def ranked(poly):
+        return reorder_variables(parse_system(f"vars: x y z\npoly: {poly}\n")).variables
+
+    # occurrences: x once, y five times, z twice
+    assert ranked("x*y^3 + y^2*z^2") == ("y", "z", "x")
+    # z outranks x and y; those two tie and keep input position
+    assert ranked("x^2*z^3 + 5*y^2") == ("z", "x", "y")
+    # a full tie keeps the input order
+    assert ranked("4*x*y*z") == ("x", "y", "z")
+    # a coefficient that vanishes mod 32003 still counts, an explicit 0 does not
+    spec = parse_system("vars: x y z\npoly: x*y^3 + y^2*z^2 + 32003*x^3 + 0*z^9\n")
+    assert reorder_variables(spec) == permute_variables(spec, (1, 0, 2))
 
 
 def test_realize_reduces_coefficients():

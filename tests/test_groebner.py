@@ -24,7 +24,6 @@ from gbbench.groebner import (
     audit_cached_weights,
     buchberger,
     reduce_basis,
-    reorder_variables,
     verify_failure,
     verify_groebner,
 )
@@ -727,21 +726,6 @@ def test_verify_failure_with_wide_lanes():
     for k in (0, len(red) // 2, len(red) - 1):
         short = red[:k] + red[k + 1:]
         assert verify_failure(short, polys) == _verify_oracle(short, polys) is not None, k
-
-
-def test_reorder_variables_by_occurrence():
-    ctx = _ctx(3)
-    # occurrences: x once, y five times, z twice
-    f = ctx.polynomial([((1, 3, 0), 1), ((0, 2, 2), 1)])
-    assert reorder_variables([f]) == (1, 2, 0)
-    # z outranks x and y; those two tie and keep input position
-    g = ctx.polynomial([((2, 0, 3), 1), ((0, 2, 0), 5)])
-    assert reorder_variables([g]) == (2, 0, 1)
-    # a full tie keeps the identity permutation
-    h = ctx.polynomial([((1, 1, 1), 4)])
-    assert reorder_variables([h]) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        reorder_variables([])
 
 
 def test_audit_cached_weights_clean_run():

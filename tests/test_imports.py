@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 private helper is used by the package, the verifier shares no code with the
-engine, and the layout of a reducer table is read only by poly.py.
+engine, the layout of a reducer table is read only by poly.py, and package
+modules import each other only downward through LAYERS.
 
 The package's __init__.py is left out of the import check: its imports are
 the public re-exports. A name counts as used when it appears anywhere in the
@@ -142,3 +143,48 @@ def test_the_check_sees_a_reducer_layout_read():
         "groebner.py": "def run(table):\n    table.insert(0, g)\n    return len(table.entries)\n",
     }
     assert _layout_reads(sources) == [("groebner.py", 3, "entries")]
+
+
+# the package's modules, lowest layer first: a module imports package code
+# only from a lower layer, so groebner and corpus import neither each other
+LAYERS = (("modfield.py",), ("ordering.py",), ("poly.py",), ("groebner.py", "corpus.py"),
+          ("bench.py",), ("cli.py",))
+
+
+def _upward_imports(sources: dict) -> list:
+    """(module, line, imported module) for each package import in sources
+    that does not reach a lower layer, relative or through gbbench; sources
+    maps module file names in LAYERS to source text."""
+    rank = {mod: r for r, layer in enumerate(LAYERS) for mod in layer}
+    out = []
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "gbbench":
+                    continue
+                module = module.partition(".")[2]
+            # "from . import corpus" names its modules
+            for target in [module] if module else [alias.name for alias in node.names]:
+                if rank[f"{target}.py"] >= rank[mod]:
+                    out.append((mod, node.lineno, target))
+    return sorted(out)
+
+
+def test_modules_import_only_from_lower_layers():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert sorted(sources) == sorted(mod for layer in LAYERS for mod in layer)
+    assert _upward_imports(sources) == []
+
+
+def test_the_check_sees_an_upward_import():
+    sources = {
+        "poly.py": "from .modfield import PrimeField\nfrom .groebner import buchberger\n",
+        "corpus.py": "import math\nfrom .poly import reduce\n\n\ndef f():\n    from . import groebner\n",
+        "bench.py": "from gbbench.corpus import realize\nfrom gbbench.cli import main\n",
+        "cli.py": "from . import bench, corpus\n",
+    }
+    assert _upward_imports(sources) == [("bench.py", 2, "cli"), ("corpus.py", 6, "groebner"),
+                                        ("poly.py", 2, "groebner")]
