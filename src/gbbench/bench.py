@@ -16,7 +16,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import groupby
 from time import perf_counter
@@ -202,17 +202,12 @@ def run_benchmark(specs, config: BenchmarkConfig | None = None) -> BenchmarkRepo
         cells = {}
         for label in config.orders:
             cells[label] = timed_run(spec, label, config)
+        ref = cells[config.reference].seconds
         ratios = {}
-        ref = cells[config.reference]
-        for label in config.orders:
-            if label == config.reference:
-                continue
-            cell = cells[label]
-            key = f"{label}/{config.reference}"
-            if cell.seconds is not None and ref.seconds is not None:
-                ratios[key] = cell.seconds / ref.seconds
-            else:
-                ratios[key] = None
+        for key in config.ratio_labels():
+            # a key is "<label>/<reference>", and no roster label holds a "/"
+            seconds = cells[key.partition("/")[0]].seconds
+            ratios[key] = None if seconds is None or ref is None else seconds / ref
         rows.append(BenchmarkRow(
             name=spec.name,
             n_vars=spec.nvars,
@@ -231,9 +226,6 @@ def run_benchmark(specs, config: BenchmarkConfig | None = None) -> BenchmarkRepo
         if vals:
             summaries[key] = summarize_ratios(vals)
     return BenchmarkReport(config=config, rows=rows, summaries=summaries)
-
-
-_STAT_FIELDS = tuple(f.name for f in fields(EngineStats))
 
 
 def _render_text(report: BenchmarkReport) -> str:
@@ -275,60 +267,36 @@ def _render_text(report: BenchmarkReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_columns(config: BenchmarkConfig) -> list:
-    cols = ["name", "n_vars", "degrees"]
+def _csv_record(row: BenchmarkRow, config: BenchmarkConfig) -> dict:
+    """One CSV row, column -> value: each cell is asdict(cell) with the
+    stats fields spliced in where stats stands, its columns "<label> <field>"."""
+    rec = {"name": row.name, "n_vars": row.n_vars, "degrees": row.degrees}
     for lab in config.orders:
-        cols.append(f"{lab} seconds")
-        cols.append(f"{lab} m")
-        cols.append(f"{lab} aborted")
-        for f_ in _STAT_FIELDS:
-            cols.append(f"{lab} {f_}")
-    cols += [f"ratio {key}" for key in config.ratio_labels()]
-    return cols
+        for key, v in asdict(row.cells[lab]).items():
+            flat = v if key == "stats" else {key: v}
+            rec.update((f"{lab} {k}", x) for k, x in flat.items())
+    rec.update({f"ratio {key}": row.ratios.get(key) for key in config.ratio_labels()})
+    return rec
 
 
 def _render_csv(report: BenchmarkReport) -> str:
+    cfg = report.config
+    # the header is the column names of a blank row, so it needs no row to exist
+    blank = RunCell(None, 0, False, EngineStats())
+    header = _csv_record(BenchmarkRow("", 0, "", dict.fromkeys(cfg.orders, blank), {}), cfg)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    cols = _csv_columns(report.config)
-    w.writerow(cols)
+    w.writerow(header)
+    # the writer writes None as "" and a float by repr; a bool goes out as 0/1
     for r in report.rows:
-        line = [r.name, r.n_vars, r.degrees]
-        for lab in report.config.orders:
-            cell = r.cells[lab]
-            line.append("" if cell.seconds is None else repr(cell.seconds))
-            line.append(cell.m)
-            line.append(int(cell.aborted))
-            for f_ in _STAT_FIELDS:
-                v = getattr(cell.stats, f_)
-                line.append(repr(v) if isinstance(v, float) else v)
-        for key in report.config.ratio_labels():
-            v = r.ratios.get(key)
-            line.append("" if v is None else repr(v))
-        w.writerow(line)
+        w.writerow([int(v) if isinstance(v, bool) else v for v in _csv_record(r, cfg).values()])
     return buf.getvalue()
 
 
 def _render_jsonl(report: BenchmarkReport) -> str:
-    # each record's keys come in the order written here, its type first
+    # each record's keys come in its dataclass's field order, its type first
     lines = [json.dumps({"type": "config", **asdict(report.config)})]
-    for r in report.rows:
-        cells = {}
-        for lab, cell in r.cells.items():
-            cells[lab] = {
-                "seconds": cell.seconds,
-                "m": cell.m,
-                "aborted": cell.aborted,
-                "stats": asdict(cell.stats),
-            }
-        lines.append(json.dumps({
-            "type": "row",
-            "name": r.name,
-            "n_vars": r.n_vars,
-            "degrees": r.degrees,
-            "cells": cells,
-            "ratios": r.ratios,
-        }))
+    lines += [json.dumps({"type": "row", **asdict(r)}) for r in report.rows]
     lines.append(json.dumps({
         "type": "summary",
         "ratios": {k: asdict(s) for k, s in report.summaries.items()},

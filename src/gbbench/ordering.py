@@ -160,7 +160,9 @@ class WeightMatrix:
     def from_text(cls, text: str) -> "WeightMatrix":
         """Parse the text form: first line n, then n lines of n rationals.
 
-        Blank lines and lines starting with '#' are ignored.
+        Blank lines and lines starting with '#' are ignored. An entry is an
+        integer, p/q or a decimal; exponent notation is refused, since
+        Fraction("1e999999999") would build 10**999999999.
         """
         lines = [
             (i + 1, line.strip())
@@ -186,6 +188,8 @@ class WeightMatrix:
             row = []
             for tok in toks:
                 try:
+                    if "e" in tok.lower():
+                        raise ValueError
                     row.append(Fraction(tok))
                 except (ValueError, ZeroDivisionError):
                     raise ValueError(f"line {lineno}: bad rational {tok!r}") from None

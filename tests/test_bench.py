@@ -16,6 +16,10 @@ from gbbench.bench import (
     ORDER_LABELS,
     ORDERS,
     BenchmarkConfig,
+    BenchmarkReport,
+    BenchmarkRow,
+    RatioSummary,
+    RunCell,
     _draw_exponents,
     comparator_microbench,
     format_degree_multiset,
@@ -33,6 +37,7 @@ from gbbench.groebner import (
     INDUCED_ORDER,
     STRATEGIES,
     WEIGHT_VECTOR,
+    EngineStats,
     buchberger,
     reduce_basis,
     verify_groebner,
@@ -323,6 +328,88 @@ def test_render_report_unknown_format():
     report = run_benchmark([cyclic_system(3)], _fast_config())
     with pytest.raises(ValueError):
         render_report(report, "xml")
+
+
+def _golden_report():
+    """Two systems under grevlex-matrix (the reference) and subtotal: a name
+    CSV must quote, float stats, an aborted cell and its None ratio."""
+    config = BenchmarkConfig(orders=("grevlex-matrix", "subtotal"), max_seconds=5.0,
+                             min_measure_seconds=0.5)
+    rows = [
+        BenchmarkRow('ring "A", 2', 3, "3*2*1", {
+            "grevlex-matrix": RunCell(0.75, 2, False, EngineStats(60, 5, 2, 11, 33, 0.1 + 0.2)),
+            "subtotal": RunCell(1 / 4, 4, False, EngineStats(71, 6, 1, 14, 0, 0.0625)),
+        }, {"subtotal/grevlex-matrix": 1 / 3}),
+        BenchmarkRow("slow", 4, "2^4", {
+            "grevlex-matrix": RunCell(1.6, 1, False, EngineStats(900, 40, 12, 300, 1800, 1.5)),
+            "subtotal": RunCell(None, 1, True, EngineStats(450, 20, 6, 150, 0, 5.0625)),
+        }, {"subtotal/grevlex-matrix": None}),
+    ]
+    summary = RatioSummary(1, 1 / 3, 1 / 3, 0.0, 1, 0)
+    return BenchmarkReport(config, rows, {"subtotal/grevlex-matrix": summary})
+
+
+GOLDEN_TEXT = (
+    'gbbench  modulus=32003  strategy=induced-order  limit=5s  min-measure=0.5s  '
+    'reference=grevlex-matrix\n'
+    '\n'
+    'system       vars  degrees  grevlex-matrix [s]  subtotal [s]  '
+    'subtotal/grevlex-matrix\n'
+    '-----------  ----  -------  ------------------  ------------  '
+    '-----------------------\n'
+    'ring "A", 2  3     3*2*1    0.75                0.25          0.33\n'
+    'slow         4     2^4      1.6                 ABORTED       -\n'
+    '\n'
+    'statistics (completed rows)\n'
+    '  subtotal/grevlex-matrix: n=1 median=0.33 mean=0.33 stddev=0.00 below-1=1 above-1=0\n'
+)
+GOLDEN_CSV = (
+    'name,n_vars,degrees,grevlex-matrix seconds,grevlex-matrix m,grevlex-matrix aborted,'
+    'grevlex-matrix comparisons,grevlex-matrix pairs_processed,grevlex-matrix '
+    'pairs_skipped_by_criteria,grevlex-matrix reduction_steps,grevlex-matrix '
+    'matvec_products,grevlex-matrix wall_time,subtotal seconds,subtotal m,subtotal aborted,'
+    'subtotal comparisons,subtotal pairs_processed,subtotal pairs_skipped_by_criteria,'
+    'subtotal reduction_steps,subtotal matvec_products,subtotal wall_time,ratio '
+    'subtotal/grevlex-matrix\n'
+    '"ring ""A"", 2",3,3*2*1,0.75,2,0,60,5,2,11,33,0.30000000000000004,0.25,4,0,71,6,1,14,'
+    '0,0.0625,0.3333333333333333\n'
+    'slow,4,2^4,1.6,1,0,900,40,12,300,1800,1.5,,1,1,450,20,6,150,0,5.0625,\n'
+)
+GOLDEN_JSONL = (
+    '{"type": "config", "orders": ["grevlex-matrix", "subtotal"], "reference": '
+    '"grevlex-matrix", "strategy": "induced-order", "modulus": 32003, "max_seconds": 5.0, '
+    '"min_measure_seconds": 0.5, "reorder": false}\n'
+    '{"type": "row", "name": "ring \\"A\\", 2", "n_vars": 3, "degrees": "3*2*1", "cells": '
+    '{"grevlex-matrix": {"seconds": 0.75, "m": 2, "aborted": false, "stats": '
+    '{"comparisons": 60, "pairs_processed": 5, "pairs_skipped_by_criteria": 2, '
+    '"reduction_steps": 11, "matvec_products": 33, "wall_time": 0.30000000000000004}}, '
+    '"subtotal": {"seconds": 0.25, "m": 4, "aborted": false, "stats": {"comparisons": 71, '
+    '"pairs_processed": 6, "pairs_skipped_by_criteria": 1, "reduction_steps": 14, '
+    '"matvec_products": 0, "wall_time": 0.0625}}}, "ratios": {"subtotal/grevlex-matrix": '
+    '0.3333333333333333}}\n'
+    '{"type": "row", "name": "slow", "n_vars": 4, "degrees": "2^4", "cells": '
+    '{"grevlex-matrix": {"seconds": 1.6, "m": 1, "aborted": false, "stats": '
+    '{"comparisons": 900, "pairs_processed": 40, "pairs_skipped_by_criteria": 12, '
+    '"reduction_steps": 300, "matvec_products": 1800, "wall_time": 1.5}}, "subtotal": '
+    '{"seconds": null, "m": 1, "aborted": true, "stats": {"comparisons": 450, '
+    '"pairs_processed": 20, "pairs_skipped_by_criteria": 6, "reduction_steps": 150, '
+    '"matvec_products": 0, "wall_time": 5.0625}}}, "ratios": {"subtotal/grevlex-matrix": '
+    'null}}\n'
+    '{"type": "summary", "ratios": {"subtotal/grevlex-matrix": {"n": 1, "median": '
+    '0.3333333333333333, "mean": 0.3333333333333333, "stddev": 0.0, "count_below_one": 1, '
+    '"count_above_one": 0}}}\n'
+)
+
+
+def test_render_report_golden():
+    # every byte of every format, on a report built by hand
+    report = _golden_report()
+    assert render_report(report, "text") == GOLDEN_TEXT
+    assert render_report(report, "csv") == GOLDEN_CSV
+    assert render_report(report, "jsonl") == GOLDEN_JSONL
+    # an empty report's CSV is the same header alone
+    empty = replace(report, rows=[], summaries={})
+    assert render_report(empty, "csv") == GOLDEN_CSV.splitlines(keepends=True)[0]
 
 
 def test_comparator_microbench_shape():

@@ -395,6 +395,21 @@ def test_check_matrix_against_a_singular_matrix(tmp_path, capsys):
     assert err == ""
 
 
+def test_check_matrix_refuses_exponent_notation(tmp_path, capsys):
+    # reading 1e999999999 as a Fraction would build 10**999999999 first
+    path = tmp_path / "exp.txt"
+    path.write_text("2\n1 0\n0 1e999999999\n")
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-matrix", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"gbbench check-matrix: error: {path}: line 3: bad rational '1e999999999'")
+
+
 def test_check_matrix_input_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-matrix", str(tmp_path / "missing.txt")])

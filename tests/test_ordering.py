@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,7 @@ def test_matrix_from_text_comments_and_fractions():
     """
     m = WeightMatrix.from_text(text)
     assert m.rows == ((1, Fraction(1, 2)), (0, 1))
+    assert WeightMatrix.from_text("1\n-0.25\n").rows == ((Fraction(-1, 4),),)
 
 
 def test_matrix_from_text_errors():
@@ -263,6 +265,10 @@ def test_matrix_from_text_errors():
         WeightMatrix.from_text("")
     with pytest.raises(ValueError):
         WeightMatrix.from_text("x\n1\n")
+    # exponent notation: Fraction would read each, the first by building 10**999999999
+    for tok in ("1e999999999", "2E3", "1.5e-2", "-3e+0"):
+        with pytest.raises(ValueError, match=re.escape(f"line 3: bad rational '{tok}'")):
+            WeightMatrix.from_text(f"2\n1 0\n0 {tok}\n")
 
 
 # ---------------------------------------------------------------- admissibility
